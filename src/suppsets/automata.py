@@ -32,7 +32,7 @@ from .atoms import (
     is_admissible,
 )
 from .binding import b_support
-from .freenom import ExtElem, RestrictedMap
+from .freenom import RestrictedMap
 from .supported import SuppSet, UnionFind, suppset_from_json, suppset_to_json
 
 
@@ -142,6 +142,7 @@ def initial_config(ra: RegisterAutomaton) -> Config:
 
 
 def _config_key(c: Config):
+    """Sort key only: locations `1` and `"1"` tie here but are distinct configs."""
     return (str(c.loc), c.valuation.images.entries)
 
 
@@ -157,17 +158,16 @@ class ValidationReport:
 def validate(ra: RegisterAutomaton) -> ValidationReport:
     """Check every structural coherence condition of the automaton."""
     errors = []
-    locs = set(ra.locations.elements)
-    if ra.initial not in locs:
+    if ra.initial not in ra.locations:
         errors.append(f"initial location {ra.initial!r} is not a location")
     elif len(ra.locations.support(ra.initial)):
         errors.append("initial location must have all registers uninitialized")
     for q in ra.final:
-        if q not in locs:
+        if q not in ra.locations:
             errors.append(f"final location {q!r} is not a location")
     for i, t in enumerate(ra.transitions):
         where = f"transition {i} ({t.source!r} -> {t.target!r})"
-        if t.source not in locs or t.target not in locs:
+        if t.source not in ra.locations or t.target not in ra.locations:
             errors.append(f"{where}: unknown endpoint")
             continue
         src_supp = ra.locations.support(t.source)
@@ -239,8 +239,9 @@ def eval_guard(sig: Signature, g: Guard, val: RestrictedMap, input_atom: Atom) -
 
 
 def step_full(ra: RegisterAutomaton, c: Config, input_atom: Atom):
-    """Successor configurations plus the successors dropped as inadmissible."""
-    kept, dropped, seen = [], [], set()
+    """Successor configurations, one per enabled transition and in transition
+    order, plus the successors dropped as inadmissible."""
+    kept, dropped = [], []
     for t in ra.outgoing(c.loc):
         if not eval_guard(ra.signature, t.guard, c.valuation, input_atom):
             continue
@@ -251,33 +252,30 @@ def step_full(ra: RegisterAutomaton, c: Config, input_atom: Atom):
         if not is_admissible(ra.sym, fm):
             dropped.append((t, fm))
             continue
-        succ = Config(t.target, RestrictedMap(ra.sym, fm))
-        key = _config_key(succ)
-        if key not in seen:
-            seen.add(key)
-            kept.append(succ)
-    kept.sort(key=_config_key)
+        kept.append(Config(t.target, RestrictedMap(ra.sym, fm)))
     return tuple(kept), tuple(dropped)
 
 
+def _successors(ra: RegisterAutomaton, configs: Iterable[Config], letters: tuple) -> tuple:
+    """Every successor of `configs` under any of `letters`, without repeats
+    and sorted."""
+    seen = {}  # a dict, not a set: ties in the sort key keep discovery order
+    for c in configs:
+        for a in letters:
+            for succ in step_full(ra, c, a)[0]:
+                seen[succ] = None
+    return tuple(sorted(seen, key=_config_key))
+
+
 def step(ra: RegisterAutomaton, c: Config, input_atom: Atom) -> tuple:
-    return step_full(ra, c, input_atom)[0]
+    return _successors(ra, (c,), (input_atom,))
 
 
 def run(ra: RegisterAutomaton, word: Iterable[Atom]) -> bool:
     """Breadth-first subset tracking; accept when a final location is live."""
-    frontier = [initial_config(ra)]
+    frontier = (initial_config(ra),)
     for a in word:
-        seen = set()
-        nxt = []
-        for c in frontier:
-            for succ in step(ra, c, a):
-                key = _config_key(succ)
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(succ)
-        nxt.sort(key=_config_key)
-        frontier = nxt
+        frontier = _successors(ra, frontier, (a,))
     return any(c.loc in ra.final for c in frontier)
 
 
@@ -285,10 +283,6 @@ def act_config(g: GlobalMap, c: Config) -> Config:
     """Rename the stored data values; register names stay put."""
     images = FiniteMap.of({a: apply(g, v) for a, v in c.valuation.images.items()})
     return Config(c.loc, RestrictedMap(g.sym, images))
-
-
-def config_as_ext(c: Config) -> ExtElem:
-    return ExtElem(c.valuation, c.loc)
 
 
 # --- generalized determinization ---
@@ -380,15 +374,7 @@ class ConfigAutomaton:
         return initial_config(self.ra)
 
     def successor(self, configs, input_atom):
-        seen, out = set(), []
-        for c in configs:
-            for succ in step(self.ra, c, input_atom):
-                key = _config_key(succ)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(succ)
-        out.sort(key=_config_key)
-        return tuple(out)
+        return _successors(self.ra, configs, (input_atom,))
 
     def accepts(self, word) -> bool:
         return run(self.ra, word)
@@ -428,21 +414,15 @@ class OrbitSummary:
 
 
 def reachable_configs(ra: RegisterAutomaton, pool: Support, depth: int) -> tuple:
-    frontier = [initial_config(ra)]
-    seen = {_config_key(frontier[0]): frontier[0]}
+    frontier = (initial_config(ra),)
+    seen = dict.fromkeys(frontier)
+    letters = tuple(pool)
     for _ in range(depth):
-        nxt = []
-        for c in frontier:
-            for a in pool:
-                for succ in step(ra, c, a):
-                    key = _config_key(succ)
-                    if key not in seen:
-                        seen[key] = succ
-                        nxt.append(succ)
-        if not nxt:
+        frontier = [c for c in _successors(ra, frontier, letters) if c not in seen]
+        if not frontier:
             break
-        frontier = nxt
-    return tuple(sorted(seen.values(), key=_config_key))
+        seen.update(dict.fromkeys(frontier))
+    return tuple(sorted(seen, key=_config_key))
 
 
 def _same_orbit(sym: SymmetryId, c1: Config, c2: Config) -> bool:
@@ -464,19 +444,19 @@ def reachable_orbits(ra: RegisterAutomaton, pool: Support, depth: int) -> OrbitS
     if not ra.sym.is_group:
         raise ValueError("orbit counting needs a group symmetry")
     configs = reachable_configs(ra, pool, depth)
-    uf = UnionFind([_config_key(c) for c in configs])
+    uf = UnionFind(range(len(configs)))
     by_loc = {}
-    for c in configs:
-        by_loc.setdefault(c.loc, []).append(c)
+    for i, c in enumerate(configs):
+        by_loc.setdefault(c.loc, []).append(i)
     for group in by_loc.values():
-        for i, c1 in enumerate(group):
-            for c2 in group[i + 1:]:
-                if _same_orbit(ra.sym, c1, c2):
-                    uf.union(_config_key(c1), _config_key(c2))
+        for n, i in enumerate(group):
+            for j in group[n + 1:]:
+                if _same_orbit(ra.sym, configs[i], configs[j]):
+                    uf.union(i, j)
     per_loc = []
     for q in ra.locations.elements:
         group = by_loc.get(q, [])
-        per_loc.append((q, len({uf.find(_config_key(c)) for c in group})))
+        per_loc.append((q, len({uf.find(i) for i in group})))
     return OrbitSummary(tuple(per_loc), len(configs))
 
 

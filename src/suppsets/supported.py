@@ -10,7 +10,7 @@ exponentials, image factorizations, isomorphism and subobject tests.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .atoms import EMPTY_SUPPORT, Support, SymmetryId, atom_from_json, support_to_json
@@ -27,34 +27,41 @@ def _id_key(x):
 
 @dataclass(frozen=True)
 class SuppSet:
-    """A finite supported set: element ids paired with their supports."""
+    """A finite supported set: element ids paired with their supports.
+
+    Ids must be hashable and are compared as values, so `1`, `1.0` and
+    `True` are one id (a repeat raises `ValueError`) while `1` and `"1"`
+    are two.
+    """
 
     items: tuple = ()  # ((elem_id, Support), ...) in fixed order
+    _index: dict = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        index = {}
+        for x, s in self.items:
+            if x in index:
+                raise ValueError(f"duplicate element id {x!r}")
+            index[x] = s
+        object.__setattr__(self, "_index", index)
 
     @staticmethod
     def of(entries) -> "SuppSet":
         pairs = entries.items() if isinstance(entries, Mapping) else entries
-        items = []
-        seen = set()
-        for x, s in pairs:
-            if x in seen:
-                raise ValueError(f"duplicate element id {x!r}")
-            seen.add(x)
-            items.append((x, s if isinstance(s, Support) else Support.of(s)))
-        return SuppSet(tuple(items))
+        return SuppSet(tuple((x, s if isinstance(s, Support) else Support.of(s)) for x, s in pairs))
 
     @property
     def elements(self) -> tuple:
         return tuple(x for x, _ in self.items)
 
     def support(self, x) -> Support:
-        for y, s in self.items:
-            if y == x:
-                return s
-        raise KeyError(x)
+        return self._index[x]
 
     def __contains__(self, x) -> bool:
-        return any(y == x for y, _ in self.items)
+        try:
+            return x in self._index
+        except TypeError:  # an unhashable value is never an id
+            return False
 
     def __len__(self) -> int:
         return len(self.items)
@@ -63,10 +70,7 @@ class SuppSet:
         return iter(self.elements)
 
     def atoms(self) -> Support:
-        out = EMPTY_SUPPORT
-        for _, s in self.items:
-            out = out.union(s)
-        return out
+        return ufs_support(s for _, s in self.items)
 
 
 EMPTY_SET = SuppSet()
@@ -110,6 +114,13 @@ class SuppMap:
     source: SuppSet
     target: SuppSet
     mapping: tuple  # ((x, f(x)), ...) aligned with source order
+    _table: dict = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        table = dict(self.mapping)
+        if len(table) != len(self.mapping):
+            raise ValueError("a supported map lists some source element twice")
+        object.__setattr__(self, "_table", table)
 
     @staticmethod
     def of(source: SuppSet, target: SuppSet, f) -> "SuppMap":
@@ -119,21 +130,17 @@ class SuppMap:
         return res
 
     def __call__(self, x):
-        for a, b in self.mapping:
-            if a == x:
-                return b
-        raise KeyError(x)
+        return self._table[x]
 
     def as_dict(self) -> dict:
         return dict(self.mapping)
 
     def is_injective(self) -> bool:
-        vals = [b for _, b in self.mapping]
-        return len(set(map(_id_key, vals))) == len(vals)
+        return len({b for _, b in self.mapping}) == len(self.mapping)
 
     def is_surjective(self) -> bool:
-        vals = {_id_key(b) for _, b in self.mapping}
-        return all(_id_key(y) in vals for y in self.target.elements)
+        vals = {b for _, b in self.mapping}
+        return all(y in vals for y in self.target.elements)
 
     def is_support_reflecting(self) -> bool:
         return all(
@@ -150,12 +157,12 @@ def check_supported_map(f, X: SuppSet, Y: SuppSet):
     get = f.__getitem__ if isinstance(f, Mapping) else f
     mapping = []
     violations = []
-    for x in X.elements:
+    for x, sx in X.items:
         y = get(x)
         if y not in Y:
             raise KeyError(f"{y!r} is not in the target carrier")
-        if not Y.support(y).issubset(X.support(x)):
-            violations.append(SupportViolation(x, Y.support(y), X.support(x)))
+        if not Y.support(y).issubset(sx):
+            violations.append(SupportViolation(x, Y.support(y), sx))
         mapping.append((x, y))
     if violations:
         return ViolationReport(tuple(violations))
@@ -218,13 +225,12 @@ def coequalizer(f: SuppMap, g: SuppMap):
     if f.source != g.source or f.target != g.target:
         raise ValueError("coequalizer needs a parallel pair")
     X = f.target
-    uf = UnionFind([_id_key(x) for x in X.elements])
-    by_key = {_id_key(x): x for x in X.elements}
+    uf = UnionFind(X.elements)
     for r in f.source.elements:
-        uf.union(_id_key(f(r)), _id_key(g(r)))
+        uf.union(f(r), g(r))
     classes = {}
     for x in X.elements:
-        classes.setdefault(uf.find(_id_key(x)), []).append(x)
+        classes.setdefault(uf.find(x), []).append(x)
     items = []
     rep_of = {}
     for members in classes.values():
@@ -233,11 +239,11 @@ def coequalizer(f: SuppMap, g: SuppMap):
         for m in members[1:]:
             supp = supp.intersect(X.support(m))
         for m in members:
-            rep_of[_id_key(m)] = rep
+            rep_of[m] = rep
         items.append((rep, supp))
     items.sort(key=lambda it: _id_key(it[0]))
     Q = SuppSet(tuple(items))
-    epi = SuppMap(X, Q, tuple((x, rep_of[_id_key(x)]) for x in X.elements))
+    epi = SuppMap(X, Q, tuple((x, rep_of[x]) for x in X.elements))
     return Q, epi
 
 
@@ -276,10 +282,10 @@ def classify_regular_subobject(m: SuppMap) -> SuppMap:
         raise ValueError("subobject map is not injective")
     if not m.is_support_reflecting():
         raise ValueError("subobject map is not support-reflecting")
-    image = {_id_key(m(s)) for s in m.source.elements}
+    image = {y for _, y in m.mapping}
     X = m.target
     two = bool_set()
-    return SuppMap(X, two, tuple((x, 1 if _id_key(x) in image else 0) for x in X.elements))
+    return SuppMap(X, two, tuple((x, 1 if x in image else 0) for x in X.elements))
 
 
 def image_factorization(f: SuppMap, support_from: str = "source"):
@@ -293,10 +299,10 @@ def image_factorization(f: SuppMap, support_from: str = "source"):
     X, Y = f.source, f.target
     fibres = {}
     for x in X.elements:
-        fibres.setdefault(_id_key(f(x)), []).append(x)
+        fibres.setdefault(f(x), []).append(x)
     items = []
     for y in Y.elements:
-        members = fibres.get(_id_key(y))
+        members = fibres.get(y)
         if not members:
             continue
         if support_from == "target":
@@ -314,10 +320,7 @@ def image_factorization(f: SuppMap, support_from: str = "source"):
 
 def pf_support(X: SuppSet, elems: Iterable) -> Support:
     """Support of a finite subset: the union of its members' supports."""
-    out = EMPTY_SUPPORT
-    for x in elems:
-        out = out.union(X.support(x))
-    return out
+    return ufs_support(X.support(x) for x in elems)
 
 
 def ufs_support(supports: Iterable[Support], max_atoms: int = None):

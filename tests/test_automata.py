@@ -301,6 +301,21 @@ class TestReachableOrbits:
             reachable_orbits(ra, pool_atoms(SymmetryId.RENAMING, 2), 1)
 
 
+class TestLocationIds:
+    def test_int_and_str_locations_stay_apart(self):
+        ra = automaton_from_json({
+            "symmetry": "equality",
+            "locations": {"elements": [{"id": q, "support": []} for q in ("s", 1, "1")]},
+            "initial": "s",
+            "final": ["1"],
+            "transitions": [{"from": "s", "to": 1}, {"from": "s", "to": "1"}],
+        })
+        assert validate(ra).ok
+        assert run(ra, [0])
+        summary = reachable_orbits(ra, pool_atoms(EQ, 2), 1)
+        assert summary.per_location == (("s", 1), (1, 1), ("1", 1))
+
+
 class TestJson:
     def test_shipped_files_round_trip(self):
         for name in ("first_repeat.json", "ascent_after_first.json"):

@@ -45,6 +45,23 @@ def all_suppmaps(X, Y):
             yield m
 
 
+class TestSuppSet:
+    def test_ids_are_compared_as_values(self):
+        assert len(SuppSet(((1, Support()), ("1", Support())))) == 2
+        with pytest.raises(ValueError):
+            SuppSet((("x", Support()), ("x", Support.of([0]))))
+        with pytest.raises(ValueError):
+            SuppSet(((1, Support()), (True, Support())))
+
+    def test_unhashable_value_is_not_a_member(self):
+        assert [1] not in sset({"x": []})
+
+    def test_map_rejects_a_repeated_source_element(self):
+        X, Y = sset({"x": []}), sset({"y": [], "z": []})
+        with pytest.raises(ValueError):
+            SuppMap(X, Y, (("x", "y"), ("x", "z")))
+
+
 class TestCheckSupportedMap:
     def test_identity_is_valid(self):
         X = sset({"x": [0, 1]})
@@ -189,6 +206,12 @@ class TestIso:
     def test_support_reflecting_bijection_is_iso(self):
         X, Y = sset({"x": [0]}), sset({"y": [0]})
         assert is_iso(SuppMap.of(X, Y, {"x": "y"}))
+
+    def test_one_and_true_are_one_target(self):
+        X, Y = sset({"a": [], "b": []}), sset({1: []})
+        f = suppmap_from_json({"map": {"a": 1, "b": True}}, X, Y)
+        assert not f.is_injective()
+        assert not is_iso(f)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_iso_iff_two_sided_inverse(self, seed):
