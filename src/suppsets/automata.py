@@ -410,7 +410,7 @@ class OrbitSummary:
         return sum(n for _, n in self.per_location)
 
     def as_dict(self) -> dict:
-        return {str(loc): n for loc, n in self.per_location}
+        return dict(self.per_location)
 
 
 def reachable_configs(ra: RegisterAutomaton, pool: Support, depth: int) -> tuple:

@@ -121,7 +121,7 @@ def _cmd_orbits(args) -> int:
         f"{text} (total {summary.total}, {summary.configs_seen} configurations)",
         {
             "command": "orbits",
-            "per_location": summary.as_dict(),
+            "per_location": [[loc, k] for loc, k in summary.per_location],
             "total": summary.total,
             "configurations": summary.configs_seen,
             "pool_size": n,
@@ -173,15 +173,15 @@ def _quot_pool(P, reps, requested: int) -> AtomPool:
 def _cmd_quot(args) -> int:
     P = presentation_from_json(_load_json(args.presentation))
     try:
-        if args.quot_op == "count":
-            n = args.pool or len(default_pool(P))
-            value = element_count(P, AtomPool(_pool_of_size(P.sym, n)))
-            _emit(args, str(value), {"command": "quot.count", "count": value, "pool_size": n})
-            return 0
-        if args.quot_op == "orbits":
-            n = args.pool or len(default_pool(P))
-            value = orbit_count(P, AtomPool(_pool_of_size(P.sym, n)))
-            _emit(args, str(value), {"command": "quot.orbits", "orbits": value, "pool_size": n})
+        if args.quot_op in ("count", "orbits"):
+            n = len(default_pool(P)) if args.pool is None else args.pool
+            pool = AtomPool(_pool_of_size(P.sym, n))
+            if args.quot_op == "count":
+                value = element_count(P, pool)
+                _emit(args, str(value), {"command": "quot.count", "count": value, "pool_size": n})
+            else:
+                value = orbit_count(P, pool)
+                _emit(args, str(value), {"command": "quot.orbits", "orbits": value, "pool_size": n})
             return 0
         if args.quot_op == "supp":
             e = ext_elem_from_json(json.loads(args.elem), P.sym)
@@ -190,7 +190,7 @@ def _cmd_quot(args) -> int:
             _emit(
                 args,
                 " ".join(str(a) for a in s) if len(s) else "(empty)",
-                {"command": "quot.supp", "support": support_to_json(s)},
+                {"command": "quot.supp", "support": support_to_json(s), "pool_size": len(pool)},
             )
             return 0
         e1 = ext_elem_from_json(json.loads(args.elem), P.sym)
@@ -216,6 +216,17 @@ def _cmd_selfcheck(args) -> int:
     return 0 if report.ok else 1
 
 
+def _non_negative(text: str) -> int:
+    """Type of the size flags: argparse turns a bad value into exit 2."""
+    try:
+        n = int(text)
+        if n >= 0:
+            return n
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _shared_options(defaults: bool) -> argparse.ArgumentParser:
     # The shared options may appear before or after the subcommand.  The
     # subcommand copies carry a SUPPRESS default so they never clobber a
@@ -225,7 +236,7 @@ def _shared_options(defaults: bool) -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"),
                    default="text" if defaults else sup)
     p.add_argument("--seed", type=int, default=0 if defaults else sup)
-    p.add_argument("--pool", type=int, default=None if defaults else sup,
+    p.add_argument("--pool", type=_non_negative, default=None if defaults else sup,
                    help="atom pool size override")
     return p
 
@@ -252,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbits", parents=[common],
                        help="count orbits of reachable configurations")
     p.add_argument("automaton")
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--depth", type=_non_negative, default=3)
     p.set_defaults(fn=_cmd_orbits)
 
     p = sub.add_parser("lambda", help="lambda-term conversions and alpha equivalence")
@@ -290,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=_cmd_quot)
 
     p = sub.add_parser("selfcheck", parents=[common], help="run every property suite")
-    p.add_argument("--budget", type=int, default=1, help="trial multiplier; 0 runs nothing")
+    p.add_argument("--budget", type=_non_negative, default=1, help="trial multiplier; 0 runs nothing")
     p.set_defaults(fn=_cmd_selfcheck)
 
     return parser

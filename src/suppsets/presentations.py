@@ -7,6 +7,8 @@ every admissible reassignment of its atoms into the pool, and the
 resulting pairs are closed into an equivalence over the pool-bounded
 extension.  Two closure engines are kept deliberately separate -- a
 union-find and a naive fixpoint sweep -- so each can serve as the other's
+oracle.  Orbit counts need no closure: they follow from the generators and
+equations that fit in the pool, with the enumerating count kept as their
 oracle.
 """
 
@@ -149,17 +151,10 @@ def quot_eq_fixpoint(P: FinPresentation, e1: ExtElem, e2: ExtElem, pool: AtomPoo
     return label[_ext_key(e1)] == label[_ext_key(e2)]
 
 
-def element_count(P: FinPresentation, pool: AtomPool) -> int:
-    """Number of congruence classes among the pool-bounded extension."""
-    _, labels = quot_classes(P, pool)
-    return len(set(labels.values()))
-
-
-def orbit_count(P: FinPresentation, pool: AtomPool) -> int:
-    """Number of classes-of-classes under all pool-admissible reassignments.
-
-    Only meaningful for the group symmetries; renaming has no orbits.
-    """
+def orbit_count_enum(P: FinPresentation, pool: AtomPool) -> int:
+    """Independent oracle for `orbit_count`: build the pool-bounded
+    classes, then merge each class with every admissible image of each of
+    its elements."""
     if not P.sym.is_group:
         raise ValueError("orbits are defined for the group symmetries only")
     universe, labels = quot_classes(P, pool)
@@ -171,6 +166,35 @@ def orbit_count(P: FinPresentation, pool: AtomPool) -> int:
         for m in admissible_maps(P.sym, ext_support(e), pool.atoms):
             uf.union(ke, labels[_ext_key(act_finite(m, e))])
     return len({uf.find(label) for label in set(labels.values())})
+
+
+def element_count(P: FinPresentation, pool: AtomPool) -> int:
+    """Number of congruence classes among the pool-bounded extension."""
+    _, labels = quot_classes(P, pool)
+    return len(set(labels.values()))
+
+
+def orbit_count(P: FinPresentation, pool: AtomPool) -> int:
+    """Number of orbits of the quotient's pool-bounded slice, in closed form.
+
+    Under a group symmetry the admissible maps from a support into the
+    pool are all injections (equality) or all monotone injections (total
+    order), so any two elements with the same base are related by one of
+    them: each generator whose support fits in the pool is one orbit, and
+    an equation whose atoms fit glues the orbits of its two bases.  The
+    count is a union-find over generators and depends only on the pool's
+    size.  `orbit_count_enum` is the enumerating oracle.  Renaming has no
+    orbits.
+    """
+    if not P.sym.is_group:
+        raise ValueError("orbits are defined for the group symmetries only")
+    n = len(pool)
+    kept = [x for x, s in P.generators.items if len(s) <= n]
+    uf = UnionFind(kept)
+    for lhs, rhs in P.equations:
+        if len(ext_support(lhs).union(ext_support(rhs))) <= n:
+            uf.union(lhs.base, rhs.base)
+    return len({uf.find(x) for x in kept})
 
 
 def _witness_targets(sym: SymmetryId, dom: Support, pool: Support) -> Support:

@@ -19,6 +19,7 @@ from suppsets.automata import (
     INPUT,
     Literal,
     Nfa,
+    OrbitSummary,
     PfSubsets,
     Reg,
     RegisterAutomaton,
@@ -314,6 +315,10 @@ class TestLocationIds:
         assert run(ra, [0])
         summary = reachable_orbits(ra, pool_atoms(EQ, 2), 1)
         assert summary.per_location == (("s", 1), (1, 1), ("1", 1))
+
+    def test_summary_dict_keys_by_location(self):
+        summary = OrbitSummary((("s", 1), (1, 1), ("1", 1)), 3)
+        assert summary.as_dict() == {"s": 1, 1: 1, "1": 1}
 
 
 class TestJson:

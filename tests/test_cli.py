@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from suppsets.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -66,7 +68,24 @@ class TestOrbits:
     def test_summary(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "json", "orbits", FIRST_REPEAT, "--depth", "3")
         assert code == 0
-        assert json.loads(out)["per_location"] == {"q0": 1, "q1": 1, "qa": 1}
+        assert json.loads(out)["per_location"] == [["q0", 1], ["q1", 1], ["qa", 1]]
+
+    def test_int_and_str_locations_stay_apart(self, capsys, tmp_path):
+        spec = tmp_path / "ids.json"
+        spec.write_text(json.dumps({
+            "symmetry": "equality",
+            "locations": {"elements": [{"id": q, "support": []} for q in ("s", 1, "1")]},
+            "initial": "s",
+            "final": ["1"],
+            "transitions": [{"from": "s", "to": 1}, {"from": "s", "to": "1"}],
+        }))
+        code, out, _ = run_cli(capsys, "--format", "json", "orbits", str(spec), "--depth", "1")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["per_location"] == [["s", 1], [1, 1], ["1", 1]]
+        assert doc["total"] == 3
+        code, out, _ = run_cli(capsys, "orbits", str(spec), "--depth", "1")
+        assert (code, out) == (0, "s: 1, 1: 1, 1: 1 (total 3, 3 configurations)")
 
 
 class TestLambda:
@@ -117,9 +136,41 @@ class TestQuot:
         code, out, _ = run_cli(capsys, "quot", "supp", PAIRS, e)
         assert (code, out) == (0, "4 7")
 
+    def test_supp_json_states_its_pool(self, capsys):
+        e = '{"pi": {"0": 4, "1": 7}, "base": "g"}'
+        code, out, _ = run_cli(capsys, "--format", "json", "quot", "supp", PAIRS, e, "--pool", "9")
+        assert code == 0
+        assert json.loads(out) == {"command": "quot.supp", "support": [4, 7], "pool_size": 9}
+
+    def test_count_over_an_empty_pool(self, capsys):
+        code, out, _ = run_cli(capsys, "quot", "count", PAIRS, "--pool", "0")
+        assert (code, out) == (0, "0")
+
+    def test_orbits_over_an_empty_pool(self, capsys):
+        code, out, _ = run_cli(capsys, "--format", "json", "quot", "orbits", PAIRS, "--pool", "0")
+        assert code == 0
+        assert json.loads(out) == {"command": "quot.orbits", "orbits": 0, "pool_size": 0}
+
     def test_bad_element_json(self, capsys):
         code, _, _ = run_cli(capsys, "quot", "supp", PAIRS, "{nope")
         assert code == 2
+
+
+class TestSizeFlags:
+    """Negative or non-integer sizes are input errors: exit 2, no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["quot", "count", PAIRS, "--pool", "-3"],
+        ["orbits", FIRST_REPEAT, "--depth", "-1"],
+        ["selfcheck", "--budget", "-1"],
+        ["quot", "orbits", PAIRS, "--pool", "three"],
+    ])
+    def test_rejected_with_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "non-negative" in err and "Traceback" not in err
 
 
 class TestSelfcheck:

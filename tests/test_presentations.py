@@ -1,3 +1,5 @@
+import json
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -19,6 +21,7 @@ from suppsets.presentations import (
     default_pool,
     element_count,
     orbit_count,
+    orbit_count_enum,
     presentation_from_json,
     presentation_to_json,
     quot_classes,
@@ -27,8 +30,9 @@ from suppsets.presentations import (
     supp_of,
 )
 from suppsets.supported import SuppSet
-from suppsets.checks import pool_atoms, random_admissible, random_presentation
+from suppsets.checks import pool_atoms, random_admissible, random_presentation, random_suppset
 
+DATA = Path(__file__).resolve().parent.parent / "data"
 EQ = SymmetryId.EQUALITY
 ORD = SymmetryId.TOTAL_ORDER
 
@@ -120,6 +124,77 @@ class TestCounts:
         P = FinPresentation(SymmetryId.RENAMING, SuppSet.of({"g": Support()}), ())
         with pytest.raises(ValueError):
             orbit_count(P, AtomPool(Support.of([0])))
+
+
+def glued_presentation(rng, sym):
+    """1-4 generators of support <= 3 and 0-4 equations, each between two
+    generators drawn independently, so some glue different generators."""
+    atoms = pool_atoms(sym, 5)
+    gens = random_suppset(rng, sym, atoms, max_elems=4, max_supp=3, prefix="g")
+
+    def side():
+        x = rng.choice(gens.elements)
+        return ExtElem(RestrictedMap(sym, random_admissible(rng, sym, gens.support(x), atoms)), x)
+
+    eqs = tuple((side(), side()) for _ in range(rng.randint(0, 4)))
+    return FinPresentation(sym, gens, eqs)
+
+
+class TestOrbitCount:
+    """The closed form against the enumerating oracle, and the cases it
+    turns on: what fits in the pool and what an equation glues."""
+
+    @pytest.mark.parametrize("sym", (EQ, ORD))
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_enumeration(self, sym, seed):
+        rng = Random(seed)
+        for _ in range(3):
+            P = glued_presentation(rng, sym)
+            for n in range(5):
+                pool = AtomPool(pool_atoms(sym, n))
+                assert orbit_count(P, pool) == orbit_count_enum(P, pool)
+
+    @staticmethod
+    def counts(P, n):
+        pool = AtomPool(pool_atoms(P.sym, n))
+        return orbit_count(P, pool), orbit_count_enum(P, pool)
+
+    @pytest.mark.parametrize("sym", (EQ, ORD))
+    def test_generator_too_large_adds_no_orbit(self, sym):
+        a = tuple(pool_atoms(sym, 3))
+        P = FinPresentation(sym, SuppSet.of([("g", Support.of([a[0]])), ("h", Support.of(a))]), ())
+        assert self.counts(P, 2) == (1, 1)
+        assert self.counts(P, 3) == (2, 2)
+
+    @pytest.mark.parametrize("sym", (EQ, ORD))
+    def test_equation_too_large_merges_nothing(self, sym):
+        a = tuple(pool_atoms(sym, 4))
+        gens = SuppSet.of([("g", Support.of([a[0]])), ("k", Support.of([a[0]]))])
+        # g at a0 equals k at a1: the equation spans two atoms
+        P = FinPresentation(sym, gens, ((relem(sym, {a[0]: a[0]}, "g"), relem(sym, {a[0]: a[1]}, "k")),))
+        assert self.counts(P, 1) == (2, 2)
+        assert self.counts(P, 2) == (1, 1)
+
+    @pytest.mark.parametrize("sym", (EQ, ORD))
+    def test_cross_generator_equation_merges_two_orbits(self, sym):
+        a = tuple(pool_atoms(sym, 4))
+        gens = SuppSet.of([("g", Support.of([a[0]])), ("h", Support.of([a[0], a[1]]))])
+        eq = (relem(sym, {a[0]: a[1]}, "g"), relem(sym, {a[0]: a[0], a[1]: a[1]}, "h"))
+        free = FinPresentation(sym, gens, ())
+        glued = FinPresentation(sym, gens, (eq,))
+        assert self.counts(free, 3) == (2, 2)
+        assert self.counts(glued, 3) == (1, 1)
+
+    def test_unordered_pairs_at_pool_30(self):
+        P = presentation_from_json(json.loads((DATA / "unordered_pairs.json").read_text()))
+        assert orbit_count(P, AtomPool(pool_atoms(EQ, 30))) == 1
+
+    def test_four_cycle_at_pool_8(self):
+        a = Support.of(range(4))
+        gens = SuppSet.of({"g": a})
+        cycle = (relem(EQ, {0: 1, 1: 2, 2: 3, 3: 0}, "g"), relem(EQ, {0: 0, 1: 1, 2: 2, 3: 3}, "g"))
+        P = FinPresentation(EQ, gens, (cycle,))
+        assert orbit_count(P, AtomPool(pool_atoms(EQ, 8))) == 1
 
 
 class TestOracleAgreement:
