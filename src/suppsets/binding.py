@@ -16,9 +16,10 @@ indices with the cycle `sigma(m) = (0 1 ... m)` for a sufficiently large m.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, reduce
+from operator import attrgetter
 
 from .atoms import (
-    EMPTY_SUPPORT,
     GlobalMap,
     Support,
     SymmetryId,
@@ -71,47 +72,80 @@ class DbLam:
     body: object
 
 
+# --- one traversal core for both forms ---
+
+@dataclass(frozen=True)
+class _Form:
+    """What tells the named and the de Bruijn form apart."""
+
+    leaf: type
+    app: type
+    lam: type
+    value: object  # reads a leaf's atom or index
+    sigil: str  # the leaf prefix in concrete syntax
+    key: str  # the leaf key in the JSON mirror
+    name: str  # for error messages
+    named: bool  # abstractions carry a binder atom
+
+
+_NAMED = _Form(Var, App, Lam, attrgetter("atom"), "v", "var", "named", True)
+_DB = _Form(Idx, DbApp, DbLam, attrgetter("index"), "#", "idx", "de Bruijn", False)
+_POST = object()  # on a walk's stack: the children of the node below it are done
+
+
+def _fold(t, form: _Form, leaf, app, lam, enter=lambda t: None):
+    """Post-order fold on an explicit stack: `leaf(value, index, depth)` gets
+    a leaf's de Bruijn index and binder depth, `app(fn, arg)` and
+    `lam(t, body)` the folded children; `enter(t)` runs before a body."""
+    bound = {}  # named: the depths of each atom's binders in scope
+    depth = 0
+    done = []
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if t is _POST:
+            t = todo.pop()
+            if isinstance(t, form.lam):
+                done[-1] = lam(t, done[-1])
+                depth -= 1
+                if form.named:
+                    bound[t.binder].pop()
+            else:
+                arg = done.pop()
+                done[-1] = app(done[-1], arg)
+        elif isinstance(t, form.leaf):
+            v = form.value(t)
+            outer = bound.get(v)
+            index = depth - outer[-1] if outer else v + depth if form.named else v
+            done.append(leaf(v, index, depth))
+        elif isinstance(t, form.app):
+            todo += (t, _POST, t.arg, t.fn)
+        elif isinstance(t, form.lam):
+            enter(t)
+            depth += 1
+            if form.named:
+                bound.setdefault(t.binder, []).append(depth)
+            todo += (t, _POST, t.body)
+        else:
+            raise TypeError(f"not a {form.name} term: {t!r}")
+    return done[0]
+
+
 def free_atoms(t) -> Support:
-    """Free variables of a named term."""
-    match t:
-        case Var(a):
-            return Support.of([a])
-        case App(f, x):
-            return free_atoms(f).union(free_atoms(x))
-        case Lam(a, body):
-            return free_atoms(body).minus([a])
-    raise TypeError(f"not a named term: {t!r}")
+    """Free variables of a named term: the ambient atoms of its de Bruijn form."""
+    return db_free_indices(to_debruijn(t))
 
 
 def act_term(g: GlobalMap, t):
     """Rename every atom occurrence, bound and free, along a permutation."""
     if g.sym is not _EQ:
         raise ValueError("terms carry equality-symmetry atoms")
-    match t:
-        case Var(a):
-            return Var(apply(g, a))
-        case App(f, x):
-            return App(act_term(g, f), act_term(g, x))
-        case Lam(a, body):
-            return Lam(apply(g, a), act_term(g, body))
-    raise TypeError(f"not a named term: {t!r}")
+    return _fold(t, _NAMED, lambda a, *_: Var(apply(g, a)), App, lambda t, x: Lam(apply(g, t.binder), x))
 
 
 def alpha_eq_terms(t1, t2) -> bool:
-    """Alpha equivalence via one fresh witness per binder pair."""
-    match (t1, t2):
-        case (Var(a), Var(b)):
-            return a == b
-        case (App(f1, x1), App(f2, x2)):
-            return alpha_eq_terms(f1, f2) and alpha_eq_terms(x1, x2)
-        case (Lam(a, x), Lam(b, y)):
-            avoid = Support.of([a, b]).union(free_atoms(x)).union(free_atoms(y))
-            c = fresh(_EQ, avoid)
-            return alpha_eq_terms(
-                act_term(transposition(_EQ, c, a), x),
-                act_term(transposition(_EQ, c, b), y),
-            )
-    return False
+    """Alpha equivalence: equal de Bruijn forms, compared printed since == on trees recurses."""
+    return show_debruijn(to_debruijn(t1)) == show_debruijn(to_debruijn(t2))
 
 
 TERM_CARRIER = NominalCarrier(act=act_term, supp=free_atoms, eq=alpha_eq_terms)
@@ -203,69 +237,52 @@ def phi_inv(a: AbsClass):
 def to_debruijn(t):
     """Named to de Bruijn: bound occurrences become binder distances, the
     free atom k at depth d becomes index k + d."""
-
-    def go(t, env):
-        match t:
-            case Var(a):
-                if a in env:
-                    return Idx(env.index(a))
-                return Idx(a + len(env))
-            case App(f, x):
-                return DbApp(go(f, env), go(x, env))
-            case Lam(a, body):
-                return DbLam(go(body, [a] + env))
-        raise TypeError(f"not a named term: {t!r}")
-
-    return go(t, [])
+    return _fold(t, _NAMED, lambda a, i, d: Idx(i), DbApp, lambda _, body: DbLam(body))
 
 
 def db_free_indices(t, depth: int = 0) -> Support:
     """Ambient atoms referenced by a de Bruijn term (indices shifted back)."""
-    match t:
-        case Idx(n):
-            return Support.of([n - depth]) if n >= depth else EMPTY_SUPPORT
-        case DbApp(f, x):
-            return db_free_indices(f, depth).union(db_free_indices(x, depth))
-        case DbLam(body):
-            return db_free_indices(body, depth + 1)
-    raise TypeError(f"not a de Bruijn term: {t!r}")
+    free = _fold(t, _DB, lambda n, _, d: {n - d - depth} if n - d >= depth else set(), _union,
+                 lambda _, body: body)
+    return Support.of(free)
+
+
+def _union(a: set, b: set) -> set:
+    """Merge the smaller set into the larger."""
+    if len(a) < len(b):
+        a, b = b, a
+    a |= b
+    return a
 
 
 def from_debruijn(t):
-    """De Bruijn to named; binder atoms are the smallest that avoid capture."""
+    """De Bruijn to named; binder atoms are the smallest that avoid capture.
 
-    def go(t, env):
-        match t:
-            case Idx(n):
-                if n < len(env):
-                    return Var(env[n])
-                return Var(n - len(env))
-            case DbApp(f, x):
-                return App(go(f, env), go(x, env))
-            case DbLam(body):
-                visible = _referenced_names(body, [None] + env)
-                a = fresh(_EQ, Support.of(visible))
-                return Lam(a, go(body, [a] + env))
-        raise TypeError(f"not a de Bruijn term: {t!r}")
+    A bottom-up pass records the levels (0 for the root binder, -1-k for the
+    ambient atom k) each abstraction's body reaches outside it; a top-down
+    pass names the binders.  Beyond the term's size, each binder costs the
+    number of outer names its body refers to."""
+    outside = []  # per abstraction, in pre-order
+    open_slots = []  # the slots in `outside` of the abstractions around the node
 
-    def _referenced_names(t, env, depth=0):
-        # env[j] is None for the binder being chosen, an atom for outer
-        # binders; indices beyond env refer to ambient atoms.
-        match t:
-            case Idx(n):
-                j = n - depth
-                if j < 0:
-                    return set()
-                if j < len(env):
-                    return set() if env[j] is None else {env[j]}
-                return {j - len(env)}
-            case DbApp(f, x):
-                return _referenced_names(f, env, depth) | _referenced_names(x, env, depth)
-            case DbLam(body):
-                return _referenced_names(body, env, depth + 1)
-        raise TypeError(f"not a de Bruijn term: {t!r}")
+    def enter(lam):
+        open_slots.append(len(outside))
+        outside.append(None)
 
-    return go(t, [])
+    def close(lam, body):
+        body.discard(len(open_slots) - 1)
+        outside[open_slots.pop()] = tuple(body)
+        return body
+
+    _fold(t, _DB, lambda n, i, d: {d - 1 - n}, _union, close, enter)
+    names = []  # names[level]: the atom of the binder at that level on the current path
+    pending = iter(outside)
+
+    def bind(lam):
+        names.append(fresh(_EQ, Support.of(names[k] if k >= 0 else -1 - k for k in next(pending))))
+
+    return _fold(t, _DB, lambda n, i, d: Var(names[d - 1 - n] if n < d else n - d), App,
+                 lambda lam, body: Lam(names.pop(), body), bind)
 
 
 # --- concrete syntax: named `\\vN. t`, `t u`, `vN`; de Bruijn `\\ t`, `#N` ---
@@ -274,202 +291,152 @@ class TermSyntaxError(ValueError):
     pass
 
 
-def _tokenize(src: str, named: bool):
+def _tokenize(src: str, sigil: str):
     tokens = []
     i = 0
     while i < len(src):
         ch = src[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "\\.()":
+        j = i + 1
+        if ch in "\\.()":
             tokens.append(ch)
-            i += 1
-        elif (named and ch == "v") or (not named and ch == "#"):
-            j = i + 1
+        elif ch == sigil:
             while j < len(src) and src[j].isdigit():
                 j += 1
             if j == i + 1:
                 raise TermSyntaxError(f"expected digits after {ch!r} at {i}")
             tokens.append(int(src[i + 1:j]))
-            i = j
-        else:
+        elif not ch.isspace():
             raise TermSyntaxError(f"unexpected character {ch!r} at {i}")
+        i = j
     return tokens
 
 
-def parse_named(src: str):
-    tokens = _tokenize(src, named=True)
+def _parse(src: str, form: _Form):
+    """Shift-reduce over a stack of open groups `[opener, operand, ...]`; the
+    opener is None at the top, "(", or the maker of an abstraction, whose
+    body runs to the end of its enclosing group.  A closed group applies
+    its operands left to right."""
+    tokens = _tokenize(src, form.sigil) + [None]
+    groups = [[None]]
     pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def term():
-        nonlocal pos
-        if peek() == "\\":
-            pos += 1
-            binder = peek()
-            if not isinstance(binder, int):
+    while True:
+        tok = tokens[pos]
+        pos += 1
+        if tok == "\\" and form.named:
+            if not isinstance(tokens[pos], int):
                 raise TermSyntaxError("expected a variable after \\")
-            pos += 1
-            if peek() != ".":
+            if tokens[pos + 1] != ".":
                 raise TermSyntaxError("expected '.' after the binder")
-            pos += 1
-            return Lam(binder, term())
-        return appchain()
+            groups.append([partial(Lam, tokens[pos])])
+            pos += 2
+        elif tok == "\\":
+            groups.append([form.lam])
+        elif tok == "(":
+            groups.append([tok])
+        elif isinstance(tok, int):
+            groups[-1].append(form.leaf(tok))
+        elif len(groups[-1]) == 1 or tok == ".":
+            raise TermSyntaxError(f"unexpected token {tok!r}")
+        else:  # ")" or the end closes the abstractions up to the innermost group
+            while callable(groups[-1][0]):
+                make, *body = groups.pop()
+                groups[-1].append(make(reduce(form.app, body)))
+            if (tok is None) != (groups[-1][0] is None):
+                raise TermSyntaxError("unbalanced parenthesis" if tok is None else "trailing input")
+            _, *operands = groups.pop()
+            if tok is None:
+                return reduce(form.app, operands)
+            groups[-1].append(reduce(form.app, operands))
 
-    def appchain():
-        nonlocal pos
-        t = atomic()
-        while peek() is not None and peek() not in (")",):
-            if peek() == "\\":
-                t = App(t, term())
-            else:
-                t = App(t, atomic())
-        return t
 
-    def atomic():
-        nonlocal pos
-        tok = peek()
-        if isinstance(tok, int):
-            pos += 1
-            return Var(tok)
-        if tok == "(":
-            pos += 1
-            t = term()
-            if peek() != ")":
-                raise TermSyntaxError("unbalanced parenthesis")
-            pos += 1
-            return t
-        raise TermSyntaxError(f"unexpected token {tok!r}")
+class _Text(str):
+    """A piece of output on the printer's stack, told apart from terms."""
 
-    t = term()
-    if pos != len(tokens):
-        raise TermSyntaxError("trailing input")
-    return t
+
+_TEXT = {s: _Text(s) for s in ("", ")", " ", ") ", " (", ") (")}
+
+
+def _show(t, form: _Form) -> str:
+    """Print on an explicit stack: a node pushes its pieces, last first."""
+    out = []
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if type(t) is _Text:
+            out.append(t)
+        elif isinstance(t, form.leaf):
+            out.append(f"{form.sigil}{form.value(t)}")
+        elif isinstance(t, form.app):
+            wrap_fn = isinstance(t.fn, form.lam)
+            wrap_arg = isinstance(t.arg, (form.app, form.lam))
+            out.append("(" * wrap_fn)
+            todo += (_TEXT[")" * wrap_arg], t.arg, _TEXT[")" * wrap_fn + " " + "(" * wrap_arg], t.fn)
+        elif isinstance(t, form.lam):
+            out.append(f"\\v{t.binder}. " if form.named else "\\ ")
+            todo.append(t.body)
+        else:
+            raise TypeError(f"not a {form.name} term: {t!r}")
+    return "".join(out)
+
+
+def parse_named(src: str):
+    return _parse(src, _NAMED)
 
 
 def parse_debruijn(src: str):
-    tokens = _tokenize(src, named=False)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def term():
-        nonlocal pos
-        if peek() == "\\":
-            pos += 1
-            return DbLam(term())
-        return appchain()
-
-    def appchain():
-        nonlocal pos
-        t = atomic()
-        while peek() is not None and peek() not in (")",):
-            if peek() == "\\":
-                t = DbApp(t, term())
-            else:
-                t = DbApp(t, atomic())
-        return t
-
-    def atomic():
-        nonlocal pos
-        tok = peek()
-        if isinstance(tok, int):
-            pos += 1
-            return Idx(tok)
-        if tok == "(":
-            pos += 1
-            t = term()
-            if peek() != ")":
-                raise TermSyntaxError("unbalanced parenthesis")
-            pos += 1
-            return t
-        raise TermSyntaxError(f"unexpected token {tok!r}")
-
-    t = term()
-    if pos != len(tokens):
-        raise TermSyntaxError("trailing input")
-    return t
+    return _parse(src, _DB)
 
 
 def show_named(t) -> str:
-    match t:
-        case Var(a):
-            return f"v{a}"
-        case App(f, x):
-            lhs = show_named(f)
-            if isinstance(f, Lam):
-                lhs = f"({lhs})"
-            rhs = show_named(x)
-            if isinstance(x, (App, Lam)):
-                rhs = f"({rhs})"
-            return f"{lhs} {rhs}"
-        case Lam(a, body):
-            return f"\\v{a}. {show_named(body)}"
-    raise TypeError(f"not a named term: {t!r}")
+    return _show(t, _NAMED)
 
 
 def show_debruijn(t) -> str:
-    match t:
-        case Idx(n):
-            return f"#{n}"
-        case DbApp(f, x):
-            lhs = show_debruijn(f)
-            if isinstance(f, DbLam):
-                lhs = f"({lhs})"
-            rhs = show_debruijn(x)
-            if isinstance(x, (DbApp, DbLam)):
-                rhs = f"({rhs})"
-            return f"{lhs} {rhs}"
-        case DbLam(body):
-            return f"\\ {show_debruijn(body)}"
-    raise TypeError(f"not a de Bruijn term: {t!r}")
+    return _show(t, _DB)
 
 
 # --- JSON mirrors of the trees ---
 
+def _to_json(t, form: _Form):
+    lam = (lambda t, body: {"lam": [t.binder, body]}) if form.named else (lambda _, body: {"lam": body})
+    return _fold(t, form, lambda v, *_: {form.key: v}, lambda f, x: {"app": [f, x]}, lam)
+
+
+def _from_json(d, form: _Form):
+    """The inverse of `_to_json`; a node's maker waits on the stack below its children."""
+    done = []
+    todo = [d]
+    while todo:
+        d = todo.pop()
+        if callable(d):
+            last = done.pop()
+            done.append(d(done.pop(), last) if d is form.app else d(last))
+        elif form.key in d:
+            done.append(form.leaf(d[form.key]))
+        elif "app" in d:
+            f, x = d["app"]
+            todo += (form.app, x, f)
+        elif "lam" in d and form.named:
+            a, body = d["lam"]
+            todo += (partial(Lam, a), body)
+        elif "lam" in d:
+            todo += (DbLam, d["lam"])
+        else:
+            raise ValueError(f"bad {form.name}-term JSON: {d!r}")
+    return done[0]
+
+
 def named_to_json(t):
-    match t:
-        case Var(a):
-            return {"var": a}
-        case App(f, x):
-            return {"app": [named_to_json(f), named_to_json(x)]}
-        case Lam(a, body):
-            return {"lam": [a, named_to_json(body)]}
-    raise TypeError(f"not a named term: {t!r}")
+    return _to_json(t, _NAMED)
 
 
 def named_from_json(d):
-    if "var" in d:
-        return Var(d["var"])
-    if "app" in d:
-        f, x = d["app"]
-        return App(named_from_json(f), named_from_json(x))
-    if "lam" in d:
-        a, body = d["lam"]
-        return Lam(a, named_from_json(body))
-    raise ValueError(f"bad named-term JSON: {d!r}")
+    return _from_json(d, _NAMED)
 
 
 def debruijn_to_json(t):
-    match t:
-        case Idx(n):
-            return {"idx": n}
-        case DbApp(f, x):
-            return {"app": [debruijn_to_json(f), debruijn_to_json(x)]}
-        case DbLam(body):
-            return {"lam": debruijn_to_json(body)}
-    raise TypeError(f"not a de Bruijn term: {t!r}")
+    return _to_json(t, _DB)
 
 
 def debruijn_from_json(d):
-    if "idx" in d:
-        return Idx(d["idx"])
-    if "app" in d:
-        f, x = d["app"]
-        return DbApp(debruijn_from_json(f), debruijn_from_json(x))
-    if "lam" in d:
-        return DbLam(debruijn_from_json(d["lam"]))
-    raise ValueError(f"bad de Bruijn-term JSON: {d!r}")
+    return _from_json(d, _DB)

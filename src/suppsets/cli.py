@@ -68,10 +68,10 @@ def _load_word(path: str, sym: SymmetryId) -> list:
 
 
 def _emit(args, text: str, payload: dict):
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(text)
+    try:
+        print(json.dumps(payload, sort_keys=True) if args.format == "json" else text)
+    except RecursionError:  # json.dumps recurses into a deeply nested payload
+        raise CliError(["the result nests too deep for --format json; use --format text"])
 
 
 def _pool_of_size(sym: SymmetryId, n: int) -> Support:
@@ -131,28 +131,23 @@ def _cmd_orbits(args) -> int:
     return 0
 
 
-def _parse_term(src: str):
+def _parse_term(src: str, parse):
     try:
-        return parse_named(src)
+        return parse(src)
     except TermSyntaxError as exc:
         raise CliError([f"term {src!r}: {exc}"])
 
 
 def _cmd_lambda(args) -> int:
     if args.lambda_op == "to-db":
-        t = _parse_term(args.term)
-        db = to_debruijn(t)
+        db = to_debruijn(_parse_term(args.term, parse_named))
         _emit(args, show_debruijn(db), {"command": "lambda.to-db", "term": debruijn_to_json(db)})
         return 0
     if args.lambda_op == "from-db":
-        try:
-            db = parse_debruijn(args.term)
-        except TermSyntaxError as exc:
-            raise CliError([f"term {args.term!r}: {exc}"])
-        t = from_debruijn(db)
+        t = from_debruijn(_parse_term(args.term, parse_debruijn))
         _emit(args, show_named(t), {"command": "lambda.from-db", "term": named_to_json(t)})
         return 0
-    t1, t2 = _parse_term(args.term), _parse_term(args.term2)
+    t1, t2 = _parse_term(args.term, parse_named), _parse_term(args.term2, parse_named)
     equal = alpha_eq_terms(t1, t2)
     _emit(
         args,
@@ -227,11 +222,20 @@ def _non_negative(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
 
 
+class _UsageError(Exception):
+    """An argparse error as (parser, message), for `main` to report."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
 def _shared_options(defaults: bool) -> argparse.ArgumentParser:
     # The shared options may appear before or after the subcommand.  The
     # subcommand copies carry a SUPPRESS default so they never clobber a
     # value given up front; real defaults live on the top-level copy only.
-    p = argparse.ArgumentParser(add_help=False)
+    p = _Parser(add_help=False)
     sup = argparse.SUPPRESS
     p.add_argument("--format", choices=("text", "json"),
                    default="text" if defaults else sup)
@@ -243,7 +247,7 @@ def _shared_options(defaults: bool) -> argparse.ArgumentParser:
 
 def build_parser() -> argparse.ArgumentParser:
     common = _shared_options(defaults=False)
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="suppsets",
         description="Supported sets, quotient presentations, binding, and register automata.",
         parents=[_shared_options(defaults=True)],
@@ -308,22 +312,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        return args.fn(args)
-    except CliError as exc:
-        if args.format == "json":
-            print(json.dumps({"command": args.command, "errors": exc.errors}, sort_keys=True))
-        else:
-            for e in exc.errors:
-                print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
-        if args.format == "json":
-            print(json.dumps({"command": args.command, "errors": [str(exc)]}, sort_keys=True))
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return 2
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        parser, message = exc.args
+        if "--format=json" not in argv and ("--format", "json") not in zip(argv, argv[1:]):
+            argparse.ArgumentParser.error(parser, message)  # usage on stderr, exit 2
+        command = parser.prog.split()[1:2]  # "suppsets quot count" -> ["quot"]
+        args = argparse.Namespace(format="json", command=command[0] if command else None)
+        errors = [message]
+    else:
+        try:
+            return args.fn(args)
+        except CliError as exc:
+            errors = exc.errors
+        except (ValueError, KeyError) as exc:
+            errors = [str(exc)]
+    if args.format == "json":
+        print(json.dumps({"command": args.command, "errors": errors}, sort_keys=True))
+    else:
+        for e in errors:
+            print(f"error: {e}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ from suppsets.binding import (
     supp_abs,
     to_debruijn,
 )
-from suppsets.checks import alpha_bruteforce, random_term
+from suppsets.checks import alpha_bruteforce, alpha_fresh_swap, random_term
 from suppsets.freenom import EXT_CARRIER, unit
 from suppsets.supported import SuppSet
 
@@ -237,9 +237,9 @@ class TestTripleAgreement:
         else:
             t2 = random_term(rng, 5, 4)
         via_db = to_debruijn(t1) == to_debruijn(t2)
-        via_fresh = alpha_eq_terms(t1, t2)
+        via_fresh = alpha_fresh_swap(t1, t2)
         via_bf = alpha_bruteforce(t1, t2)
-        assert via_db == via_fresh == via_bf
+        assert via_db == via_fresh == via_bf == alpha_eq_terms(t1, t2)
 
 
 class TestActTerm:
@@ -303,3 +303,145 @@ class TestJson:
         assert named_from_json(named_to_json(t)) == t
         db = to_debruijn(t)
         assert debruijn_from_json(debruijn_to_json(db)) == db
+
+
+class TestPinnedSyntaxErrors:
+    """The exact messages for malformed input."""
+
+    @pytest.mark.parametrize("src, message", [
+        ("(v0", "unbalanced parenthesis"),
+        ("v0)", "trailing input"),
+        ("\\v0", "expected '.' after the binder"),
+        ("\\v0.", "unexpected token None"),
+        ("()", "unexpected token ')'"),
+        ("v0 . v1", "unexpected token '.'"),
+        ("", "unexpected token None"),
+        ("\\", "expected a variable after \\"),
+        ("\\ .", "expected a variable after \\"),
+        ("v", "expected digits after 'v' at 0"),
+        ("x0", "unexpected character 'x' at 0"),
+        ("v0 #1", "unexpected character '#' at 3"),
+        ("(\\v0.)", "unexpected token ')'"),
+        ("v0 ((v1)", "unbalanced parenthesis"),
+        ("\\v0 v1", "expected '.' after the binder"),
+        (")", "unexpected token ')'"),
+        ("v0 (v1))", "trailing input"),
+    ])
+    def test_named(self, src, message):
+        with pytest.raises(TermSyntaxError) as exc:
+            parse_named(src)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("src, message", [
+        ("#0)", "trailing input"),
+        ("\\", "unexpected token None"),
+        ("(#0", "unbalanced parenthesis"),
+        ("#", "expected digits after '#' at 0"),
+        ("\\ v0", "unexpected character 'v' at 2"),
+        ("#0 . #1", "unexpected token '.'"),
+        ("()", "unexpected token ')'"),
+        ("\\ \\", "unexpected token None"),
+    ])
+    def test_debruijn(self, src, message):
+        with pytest.raises(TermSyntaxError) as exc:
+            parse_debruijn(src)
+        assert str(exc.value) == message
+
+
+class TestPinnedNames:
+    """`from_debruijn` names each binder with the smallest atom its body
+    does not refer to, under shadowing and free indices alike."""
+
+    @pytest.mark.parametrize("src, named", [
+        (r"\ \ #1 #2 (\ #0 #3)", r"\v1. \v2. v1 v0 (\v1. v1 v0)"),
+        (r"\ #0 #1", r"\v1. v1 v0"),
+        (r"\ \ #0", r"\v0. \v0. v0"),
+        (r"\ (\ #1) #0 #2", r"\v0. (\v1. v0) v0 v1"),
+        ("#3", "v3"),
+        (r"\ \ \ #2 #3 #4", r"\v2. \v3. \v3. v2 v0 v1"),
+        (r"\ #1 (\ \ #0 #2 #3)", r"\v1. v0 (\v2. \v2. v2 v1 v0)"),
+        (r"\ \ #0 (\ #2 #0)", r"\v0. \v1. v1 (\v1. v0 v1)"),
+    ])
+    def test_names(self, src, named):
+        assert show_named(from_debruijn(parse_debruijn(src))) == named
+
+
+DEEP = 10_000
+
+
+def nested_apps(n: int):
+    """(v0 (v1 (... (v(n-1) vn)))), built bottom-up."""
+    t = Var(n)
+    for i in reversed(range(n)):
+        t = App(Var(i), t)
+    return t
+
+
+def binder_chain(n: int, first: int = 0):
+    """\\v(first). ... \\v(first+n-1). v(first) v(first+n-1) v(3n)."""
+    t = App(App(Var(first), Var(first + n - 1)), Var(3 * n))
+    for i in reversed(range(n)):
+        t = Lam(first + i, t)
+    return t
+
+
+def nested_text(sigil: str, n: int) -> str:
+    return "".join(f"{sigil}{i} (" for i in range(n - 1)) + f"{sigil}{n - 1} {sigil}{n}" + ")" * (n - 1)
+
+
+NESTED_TEXT = nested_text("v", DEEP)
+CHAIN_TEXT = "".join(f"\\v{i}. " for i in range(DEEP)) + f"v0 v{DEEP - 1} v{3 * DEEP}"
+
+
+class TestDeepTerms:
+    """Terms 10,000 levels deep go through every walk; results are compared
+    as printed strings because dataclass ==, hash and repr recurse."""
+
+    @pytest.mark.parametrize("build, text", [(nested_apps, NESTED_TEXT), (binder_chain, CHAIN_TEXT)],
+                             ids=["nested", "chain"])
+    def test_print_parse(self, build, text):
+        assert show_named(build(DEEP)) == text
+        assert show_named(parse_named(text)) == text
+
+    def test_debruijn_round_trips(self):
+        db = to_debruijn(nested_apps(DEEP))
+        text = nested_text("#", DEEP)
+        assert show_debruijn(db) == text
+        assert show_debruijn(parse_debruijn(text)) == text
+        assert show_named(from_debruijn(db)) == NESTED_TEXT
+        chain = to_debruijn(binder_chain(DEEP))
+        text = "\\ " * DEEP + f"#{DEEP - 1} #0 #{4 * DEEP}"
+        assert show_debruijn(chain) == text
+        assert show_debruijn(parse_debruijn(text)) == text
+        names = "\\v0. " + "\\v1. " * (DEEP - 1) + f"v0 v1 v{3 * DEEP}"
+        assert show_named(from_debruijn(chain)) == names
+
+    def test_alpha_eq_terms(self):
+        assert alpha_eq_terms(binder_chain(DEEP), binder_chain(DEEP, first=DEEP))
+        assert not alpha_eq_terms(binder_chain(DEEP), parse_named(CHAIN_TEXT.replace(" v0 v", " v1 v")))
+        assert alpha_eq_terms(nested_apps(DEEP), parse_named(NESTED_TEXT))
+        assert not alpha_eq_terms(nested_apps(DEEP), parse_named(NESTED_TEXT.replace("v7 ", "v8 ", 1)))
+
+    def test_free_atoms(self):
+        assert free_atoms(nested_apps(DEEP)) == Support.of(range(DEEP + 1))
+        assert free_atoms(binder_chain(DEEP)) == Support.of([3 * DEEP])
+        assert db_free_indices(to_debruijn(binder_chain(DEEP))) == Support.of([3 * DEEP])
+
+    def test_act_term(self):
+        swap = transposition(EQ, 0, 3 * DEEP)
+        renamed = CHAIN_TEXT.replace("\\v0. ", f"\\v{3 * DEEP}. ").replace(" v0 ", f" v{3 * DEEP} ")
+        renamed = renamed[: renamed.rindex(" v")] + " v0"
+        assert show_named(act_term(swap, binder_chain(DEEP))) == renamed
+
+    def test_json_mirrors(self):
+        for t, text in ((nested_apps(DEEP), NESTED_TEXT), (binder_chain(DEEP), CHAIN_TEXT)):
+            assert show_named(named_from_json(named_to_json(t))) == text
+            db = to_debruijn(t)
+            assert show_debruijn(debruijn_from_json(debruijn_to_json(db))) == show_debruijn(db)
+
+    def test_phi(self):
+        for t in (nested_apps(DEEP), binder_chain(DEEP)):
+            a = phi(t)
+            assert supp_abs(a) == b_support(free_atoms(t))
+            assert alpha_eq_terms(phi_inv(a), t)
+            assert alpha_eq(phi(phi_inv(a)), a)

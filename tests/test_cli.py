@@ -173,6 +173,73 @@ class TestSizeFlags:
         assert "non-negative" in err and "Traceback" not in err
 
 
+class TestUsageErrorsAsJson:
+    """Under --format json an argparse error is a JSON error list on stdout."""
+
+    @pytest.mark.parametrize("argv, command", [
+        (["--format", "json", "quot", "count", PAIRS, "--pool", "-3"], "quot"),
+        (["--format", "json", "quot", "count", PAIRS, "--pool", "x"], "quot"),
+        (["quot", "count", PAIRS, "--format=json", "--pool", "x"], "quot"),
+        (["--format", "json"], None),
+    ])
+    def test_error_list(self, capsys, argv, command):
+        code, out, err = run_cli(capsys, *argv)
+        doc = json.loads(out)
+        assert code == 2 and err == ""
+        assert doc["command"] == command and len(doc["errors"]) == 1
+
+    def test_messages(self, capsys):
+        _, out, _ = run_cli(capsys, "--format", "json", "quot", "count", PAIRS, "--pool", "x")
+        assert json.loads(out)["errors"] == ["argument --pool: expected a non-negative integer, got 'x'"]
+        _, out, _ = run_cli(capsys, "--format", "json")
+        assert json.loads(out)["errors"] == ["the following arguments are required: command"]
+
+    def test_text_mode_keeps_the_usage_message(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["quot", "count", PAIRS, "--pool", "x"])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert out.err.startswith("usage: suppsets quot count")
+
+
+DEEP = 10_000
+NESTED = "".join(f"v{i} (" for i in range(DEEP - 1)) + f"v{DEEP - 1} v{DEEP}" + ")" * (DEEP - 1)
+NESTED_DB = "".join(f"#{i} (" for i in range(DEEP - 1)) + f"#{DEEP - 1} #{DEEP}" + ")" * (DEEP - 1)
+CHAIN = "".join(f"\\v{i}. " for i in range(DEEP)) + f"v0 v{DEEP - 1} v{3 * DEEP}"
+CHAIN_DB = "\\ " * DEEP + f"#{DEEP - 1} #0 #{4 * DEEP}"
+
+
+class TestDeepTerms:
+    """lambda takes terms of any depth in text mode."""
+
+    def test_to_db(self, capsys):
+        assert run_cli(capsys, "lambda", "to-db", NESTED) == (0, NESTED_DB, "")
+        assert run_cli(capsys, "lambda", "to-db", CHAIN) == (0, CHAIN_DB, "")
+
+    def test_from_db(self, capsys):
+        assert run_cli(capsys, "lambda", "from-db", NESTED_DB) == (0, NESTED, "")
+        names = "\\v0. " + "\\v1. " * (DEEP - 1) + f"v0 v1 v{3 * DEEP}"
+        assert run_cli(capsys, "lambda", "from-db", CHAIN_DB) == (0, names, "")
+
+    def test_alpha_eq(self, capsys):
+        renamed = "".join(f"\\v{i + DEEP}. " for i in range(DEEP)) + f"v{DEEP} v{2 * DEEP - 1} v{3 * DEEP}"
+        assert run_cli(capsys, "lambda", "alpha-eq", CHAIN, renamed) == (0, "alpha-equivalent", "")
+        changed = CHAIN.replace(" v0 v", " v1 v")
+        assert run_cli(capsys, "lambda", "alpha-eq", CHAIN, changed) == (1, "not alpha-equivalent", "")
+        code, out, _ = run_cli(capsys, "--format", "json", "lambda", "alpha-eq", NESTED, NESTED)
+        assert code == 0 and json.loads(out)["alpha_equivalent"] is True
+
+    def test_json_too_deep_is_an_input_error(self, capsys):
+        code, out, err = run_cli(capsys, "--format", "json", "lambda", "to-db", NESTED)
+        if code == 0:  # an interpreter whose encoder takes this depth
+            assert out.startswith('{"command": "lambda.to-db", "term": {"app": ')
+        else:
+            assert (code, err) == (2, "")
+            doc = json.loads(out)
+            assert doc == {"command": "lambda",
+                           "errors": ["the result nests too deep for --format json; use --format text"]}
+
+
 class TestSelfcheck:
     def test_budget_zero_is_empty_and_ok(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "json", "selfcheck", "--budget", "0")
