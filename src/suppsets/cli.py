@@ -58,6 +58,23 @@ def _load_json(path: str):
         raise CliError([f"{path}: {exc}"])
 
 
+def _from_json(where: str, convert, doc, *rest):
+    """`convert(doc, *rest)` on outside JSON: a value of the wrong JSON type
+    is an input error naming `where`."""
+    try:
+        return convert(doc, *rest)
+    except (TypeError, AttributeError) as exc:
+        raise CliError([f"{where}: wrong JSON shape: {exc}"])
+
+
+def _load_automaton(path: str):
+    return _from_json(path, automaton_from_json, _load_json(path))
+
+
+def _load_elem(text: str, sym: SymmetryId):
+    return _from_json(f"element {text}", ext_elem_from_json, json.loads(text), sym)
+
+
 def _load_word(path: str, sym: SymmetryId) -> list:
     try:
         with open(path) as fh:
@@ -79,7 +96,7 @@ def _pool_of_size(sym: SymmetryId, n: int) -> Support:
 
 
 def _cmd_validate(args) -> int:
-    ra = automaton_from_json(_load_json(args.automaton))
+    ra = _load_automaton(args.automaton)
     report = validate(ra)
     if report.ok:
         _emit(args, "ok", {"command": "validate", "ok": True, "errors": []})
@@ -93,7 +110,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    ra = automaton_from_json(_load_json(args.automaton))
+    ra = _load_automaton(args.automaton)
     report = validate(ra)
     if not report.ok:
         raise CliError(list(report.errors))
@@ -108,7 +125,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
-    ra = automaton_from_json(_load_json(args.automaton))
+    ra = _load_automaton(args.automaton)
     report = validate(ra)
     if not report.ok:
         raise CliError(list(report.errors))
@@ -158,15 +175,12 @@ def _cmd_lambda(args) -> int:
 
 
 def _quot_pool(P, reps, requested: int) -> AtomPool:
-    pool = default_pool(P, reps)
-    atoms = pool.atoms
-    while len(atoms) < (requested or 0):
-        atoms = atoms.union(Support.of(fresh_atoms(P.sym, atoms, 1)))
-    return AtomPool(atoms)
+    atoms = default_pool(P, reps).atoms
+    return AtomPool(atoms.union(Support.of(fresh_atoms(P.sym, atoms, (requested or 0) - len(atoms)))))
 
 
 def _cmd_quot(args) -> int:
-    P = presentation_from_json(_load_json(args.presentation))
+    P = _from_json(args.presentation, presentation_from_json, _load_json(args.presentation))
     try:
         if args.quot_op in ("count", "orbits"):
             n = len(default_pool(P)) if args.pool is None else args.pool
@@ -179,7 +193,7 @@ def _cmd_quot(args) -> int:
                 _emit(args, str(value), {"command": "quot.orbits", "orbits": value, "pool_size": n})
             return 0
         if args.quot_op == "supp":
-            e = ext_elem_from_json(json.loads(args.elem), P.sym)
+            e = _load_elem(args.elem, P.sym)
             pool = _quot_pool(P, [e], args.pool)
             s = supp_of(P, e, pool)
             _emit(
@@ -188,8 +202,7 @@ def _cmd_quot(args) -> int:
                 {"command": "quot.supp", "support": support_to_json(s), "pool_size": len(pool)},
             )
             return 0
-        e1 = ext_elem_from_json(json.loads(args.elem), P.sym)
-        e2 = ext_elem_from_json(json.loads(args.elem2), P.sym)
+        e1, e2 = _load_elem(args.elem, P.sym), _load_elem(args.elem2, P.sym)
         pool = _quot_pool(P, [e1, e2], args.pool)
         equal = quot_eq(P, e1, e2, pool)
         _emit(

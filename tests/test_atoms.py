@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from suppsets.atoms import (
+    _pwl_apply,
+    _pwl_canonical,
     FiniteMap,
     Support,
     SymmetryId,
@@ -49,6 +51,48 @@ class TestApply:
         ys = [apply(g, x) for x in xs]
         assert ys == sorted(ys) and len(set(ys)) == len(ys)
         assert all(apply(inverse(g), y) == x for x, y in zip(xs, ys))
+
+
+def pwl_canonical_restart(points) -> tuple:
+    """The former canonical form, as an oracle: drop any breakpoint the
+    others already predict, and start again until none is left."""
+    pts = sorted(points)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(pts)):
+            rest = tuple(pts[:i] + pts[i + 1:])
+            if _pwl_apply(rest, pts[i][0]) == pts[i][1]:
+                pts = list(rest)
+                changed = True
+                break
+    return tuple(pts)
+
+
+# Strictly increasing breakpoint lists with small rational steps, so that
+# collinear runs, unit-slope stretches and translations come up often.
+steps = st.fractions(min_value=Fraction(1, 2), max_value=3, max_denominator=2)
+breakpoints = st.tuples(
+    st.integers(-4, 4), st.integers(-4, 4), st.lists(st.tuples(steps, steps), max_size=6),
+).map(lambda t: [(t[0] + sum(dx for dx, _ in t[2][:i]), t[1] + sum(dy for _, dy in t[2][:i]))
+                 for i in range(len(t[2]) + 1)])
+
+
+class TestPwlCanonical:
+    def test_translation_keeps_its_last_breakpoint(self):
+        assert _pwl_canonical({-2: 2, 2: 6, 5: 9}.items()) == ((5, 9),)
+
+    def test_identity_keeps_nothing(self):
+        assert _pwl_canonical({-2: -2, 2: 2, 5: 5}.items()) == ()
+
+    def test_only_slope_changes_stay(self):
+        assert _pwl_canonical([(0, 0), (1, 2), (2, 4), (3, 5)]) == ((0, 0), (2, 4))
+
+    @given(breakpoints)
+    def test_matches_the_restart_loop(self, pts):
+        got = _pwl_canonical(pts)
+        assert got == pwl_canonical_restart(pts)
+        assert all(_pwl_apply(got, x) == y for x, y in pts)
 
 
 class TestCompose:

@@ -4,6 +4,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from suppsets.atoms import (
     FiniteMap,
@@ -17,6 +18,7 @@ from suppsets.automata import (
     ExtConfigs,
     Guard,
     INPUT,
+    InputRef,
     Literal,
     Nfa,
     OrbitSummary,
@@ -33,12 +35,14 @@ from suppsets.automata import (
     eval_guard,
     initial_config,
     make_transition,
+    reachable_configs,
     reachable_orbits,
     run,
     step,
     step_full,
     validate,
 )
+from suppsets.binding import b_support
 from suppsets.checks import (
     ascent_automaton,
     first_repeat_automaton,
@@ -104,6 +108,49 @@ class TestValidate:
         t = make_transition("q0", TRUE_GUARD, "q1", {})
         report = validate(RegisterAutomaton(EQ, locs, "q0", frozenset(), (t,)))
         assert any("target registers" in e for e in report.errors)
+
+
+@st.composite
+def small_automata(draw):
+    """Automata over three locations whose transitions mostly pass `validate`:
+    assignments read distinct sources, guards now and then a stray register."""
+    names = ("q0", "q1", "q2")
+    supports = [()] + [tuple(sorted(draw(st.sets(st.integers(0, 3), max_size=3)))) for _ in names[1:]]
+    transitions = []
+    for _ in range(draw(st.integers(0, 5))):
+        i, j = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        sources = [INPUT] + [Reg(a) for a in supports[i]]
+        assign = dict(zip(supports[j], draw(st.permutations(sources))))
+        refs = st.sampled_from(sources + [Reg(4)]) if draw(st.integers(0, 4)) == 0 else st.sampled_from(sources)
+        literals = draw(st.lists(st.builds(lambda pos, a, b: Literal(pos, "eq", (a, b)), st.booleans(), refs, refs),
+                                 max_size=2))
+        transitions.append(make_transition(names[i], Guard(tuple(literals)), names[j], assign))
+    sym = draw(st.sampled_from((EQ, SymmetryId.RENAMING)))
+    return RegisterAutomaton(sym, SuppSet.of(list(zip(names, supports))), "q0", frozenset(), tuple(transitions))
+
+
+class TestBinderEncoding:
+    """Under the binder, the input is atom 0 and old register k is atom k+1;
+    what a location's transitions refer to, shifted back out, lies in its
+    support whenever `validate` accepts the automaton."""
+
+    @staticmethod
+    def outside_support(ra, q):
+        shifted = []
+        for t in ra.outgoing(q):
+            refs = [r for _, r in t.assign] + [r for lit in t.guard.literals for r in lit.args]
+            shifted += [0 if isinstance(r, InputRef) else r.atom + 1 for r in refs]
+        return b_support(Support.of(shifted))
+
+    def test_shipped_automaton(self):
+        ra = first_repeat_automaton()
+        assert [tuple(self.outside_support(ra, q)) for q in ra.locations.elements] == [(), (0,), ()]
+
+    @given(small_automata())
+    def test_accepted_automata(self, ra):
+        assume(validate(ra).ok)
+        for q in ra.locations.elements:
+            assert self.outside_support(ra, q).issubset(ra.locations.support(q))
 
 
 class TestEvalGuard:
@@ -300,6 +347,80 @@ class TestReachableOrbits:
         ra = RegisterAutomaton(SymmetryId.RENAMING, locs, "q0", frozenset(), ())
         with pytest.raises(ValueError):
             reachable_orbits(ra, pool_atoms(SymmetryId.RENAMING, 2), 1)
+
+
+def guess_store_automaton():
+    """Guesses two distinct letters and stores both: many configurations per location."""
+    def t(src, tgt, assign, guard=()):
+        return {"from": src, "to": tgt, "assign": assign, "guard": list(guard)}
+
+    r0, r1 = {"reg": 0}, {"reg": 1}
+    return automaton_from_json({
+        "symmetry": "equality",
+        "locations": {"elements": [{"id": q, "support": s} for q, s in
+                                   (("s0", []), ("s1", [0]), ("s2", [0, 1]), ("s3", [1]), ("acc", []))]},
+        "initial": "s0",
+        "final": ["acc"],
+        "transitions": [
+            t("s0", "s0", {}), t("s0", "s1", {"0": "input"}), t("s1", "s1", {"0": r0}),
+            t("s1", "s2", {"0": r0, "1": "input"}), t("s2", "s2", {"0": r0, "1": r1}),
+            t("s2", "s3", {"1": r1}, [[True, "eq", ["input", r0]]]), t("s3", "s3", {"1": r1}),
+            t("s3", "acc", {}, [[True, "eq", ["input", r1]]]), t("acc", "acc", {}),
+        ],
+    })
+
+
+def pairwise_orbits(ra, pool, depth) -> dict:
+    """Orbit counts by a union-find over every pair of reachable configurations
+    at one location: a pair is joined when the value map forced between their
+    valuations is a bijection (equality) or strictly increasing (order)."""
+    configs = reachable_configs(ra, pool, depth)
+    parent = list(range(len(configs)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    def related(c1, c2):
+        e1, e2 = c1.valuation.images.entries, c2.valuation.images.entries
+        if c1.loc != c2.loc or [r for r, _ in e1] != [r for r, _ in e2]:
+            return False
+        pairs = sorted({(x, y) for (_, x), (_, y) in zip(e1, e2)})
+        if len({x for x, _ in pairs}) != len(pairs) or len({y for _, y in pairs}) != len(pairs):
+            return False
+        return ra.sym is EQ or all(a[1] < b[1] for a, b in zip(pairs, pairs[1:]))
+
+    for i, c1 in enumerate(configs):
+        for j in range(i):
+            if related(c1, configs[j]):
+                parent[find(i)] = find(j)
+    roots = {}
+    for i, c in enumerate(configs):
+        roots.setdefault(c.loc, set()).add(find(i))
+    return {q: len(roots.get(q, ())) for q in ra.locations.elements}
+
+
+class TestOrbitRepresentatives:
+    def test_register_domains_split_orbits(self):
+        locs = SuppSet.of([("s0", Support()), ("s", Support.of([0])), ("q", Support.of([0, 1]))])
+        ra = RegisterAutomaton(EQ, locs, "s0", frozenset(), (
+            make_transition("s0", TRUE_GUARD, "s", {0: INPUT}),
+            make_transition("s", TRUE_GUARD, "q", {0: Reg(0)}),
+            make_transition("s", TRUE_GUARD, "q", {0: Reg(0), 1: INPUT}),
+        ))
+        summary = reachable_orbits(ra, pool_atoms(EQ, 3), 2)
+        assert summary.as_dict() == {"s0": 1, "s": 1, "q": 2}
+        assert summary.configs_seen == 1 + 3 + 3 + 6
+
+    @pytest.mark.parametrize("make, sym", [(first_repeat_automaton, EQ), (ascent_automaton, ORD),
+                                           (guess_store_automaton, EQ)])
+    def test_matches_pairwise_union_find(self, make, sym):
+        ra = make()
+        for n in range(3, 7):
+            for depth in range(4):
+                pool = pool_atoms(sym, n)
+                assert reachable_orbits(ra, pool, depth).as_dict() == pairwise_orbits(ra, pool, depth)
 
 
 class TestLocationIds:

@@ -1,7 +1,10 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from suppsets.cli import main
 
@@ -154,6 +157,97 @@ class TestQuot:
     def test_bad_element_json(self, capsys):
         code, _, _ = run_cli(capsys, "quot", "supp", PAIRS, "{nope")
         assert code == 2
+
+
+class TestMalformedShapes:
+    """A JSON value of the wrong type is an input error naming its source."""
+
+    @pytest.mark.parametrize("command", [("validate",), ("orbits",), ("run", str(DATA / "word_repeat.txt"))])
+    def test_automaton(self, capsys, tmp_path, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"symmetry": "equality", "locations": {"elements": 5},
+                                   "initial": "q0", "final": [], "transitions": []}))
+        code, out, _ = run_cli(capsys, "--format", "json", command[0], str(bad), *command[1:])
+        assert code == 2
+        assert json.loads(out)["errors"][0].startswith(f"{bad}: wrong JSON shape: ")
+
+    def test_presentation(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"symmetry": "equality", "generators": {"elements": [7]}, "equations": []}))
+        code, _, err = run_cli(capsys, "quot", "count", str(bad))
+        assert code == 2 and err.startswith(f"error: {bad}: wrong JSON shape: ")
+
+    def test_inline_element(self, capsys):
+        code, _, err = run_cli(capsys, "quot", "eq", PAIRS, '{"pi": {}, "base": "g"}', "[3]")
+        assert code == 2 and err.startswith("error: element [3]: wrong JSON shape: ")
+
+    def test_key_and_value_errors_keep_their_messages(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"symmetry": "nominal"}))
+        assert run_cli(capsys, "validate", str(bad))[::2] == (2, "error: unknown symmetry 'nominal'")
+        bad.write_text(json.dumps({"symmetry": "equality"}))
+        assert run_cli(capsys, "validate", str(bad))[::2] == (2, "error: 'locations'")
+
+
+def _paths(doc, prefix=()):
+    """Every key path into a JSON document, the root included."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        yield from _paths(v, prefix + (k,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    out = dict(doc) if isinstance(doc, dict) else list(doc)
+    out[path[0]] = _replaced(doc[path[0]], path[1:], value)
+    return out
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6)
+    | st.sampled_from(["", "g", "q0", "q1", "input", "eq", "1/2", "equality", "total-order"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["id", "support", "elements", "reg", "pi", "base", "0", "1"]),
+                      inner, max_size=3),
+    max_leaves=6,
+)
+SPEC, ELEM = object(), object()  # placeholders: the mutated file, an inline element
+COMMANDS = {
+    FIRST_REPEAT: (("validate", SPEC), ("orbits", SPEC, "--depth", "2"),
+                   ("run", SPEC, str(DATA / "word_repeat.txt"))),
+    PAIRS: (("quot", "count", SPEC), ("quot", "supp", SPEC, ELEM), ("quot", "eq", SPEC, ELEM, ELEM)),
+}
+PAIR_ELEM = {"pi": {"0": 1, "1": 0}, "base": "g"}
+
+
+class TestContractFuzz:
+    """Mutated copies of the shipped inputs give an answer (0 or 1) or an
+    input error (2) with a JSON error list, and never an uncaught exception."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(COMMANDS)), st.data())
+    def test_mutated_inputs(self, tmp_path_factory, source, data):
+        doc = json.loads(Path(source).read_text())
+        for _ in range(data.draw(st.integers(1, 2))):
+            path = data.draw(st.sampled_from(list(_paths(doc))))
+            doc = _replaced(doc, path, data.draw(json_values))
+        spec = tmp_path_factory.getbasetemp() / "fuzz.json"
+        spec.write_text(json.dumps(doc))
+        argv = ["--format", "json"]
+        for arg in data.draw(st.sampled_from(COMMANDS[source])):
+            if arg is SPEC:
+                arg = str(spec)
+            elif arg is ELEM:
+                arg = json.dumps(data.draw(st.just(PAIR_ELEM) | json_values))
+            argv.append(arg)
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        payload = json.loads(out.getvalue())
+        assert code != 2 or payload["errors"]
 
 
 class TestSizeFlags:
