@@ -60,7 +60,9 @@ def _load_json(path: str):
 
 def _from_json(where: str, convert, doc, *rest):
     """`convert(doc, *rest)` on outside JSON: a value of the wrong JSON type
-    is an input error naming `where`."""
+    is an input error naming `where`.  The converters are expected to fail
+    only on input shape; load-time validation that names the JSON path can
+    narrow this catch."""
     try:
         return convert(doc, *rest)
     except (TypeError, AttributeError) as exc:
@@ -176,7 +178,8 @@ def _cmd_lambda(args) -> int:
 
 def _quot_pool(P, reps, requested: int) -> AtomPool:
     atoms = default_pool(P, reps).atoms
-    return AtomPool(atoms.union(Support.of(fresh_atoms(P.sym, atoms, (requested or 0) - len(atoms)))))
+    missing = (requested or 0) - len(atoms)  # <= 0 when the default pool is large enough
+    return AtomPool(atoms.union(Support.of(fresh_atoms(P.sym, atoms, missing))))
 
 
 def _cmd_quot(args) -> int:

@@ -403,12 +403,17 @@ def pairwise_orbits(ra, pool, depth) -> dict:
 
 class TestOrbitRepresentatives:
     def test_register_domains_split_orbits(self):
+        """`q` is entered with one register on one transition and with two on
+        the other.  `validate` rejects this automaton, so `suppsets orbits`
+        never counts it; only `reachable_orbits` on an unvalidated automaton
+        meets two register domains at one location, and they are two orbits."""
         locs = SuppSet.of([("s0", Support()), ("s", Support.of([0])), ("q", Support.of([0, 1]))])
         ra = RegisterAutomaton(EQ, locs, "s0", frozenset(), (
             make_transition("s0", TRUE_GUARD, "s", {0: INPUT}),
             make_transition("s", TRUE_GUARD, "q", {0: Reg(0)}),
             make_transition("s", TRUE_GUARD, "q", {0: Reg(0), 1: INPUT}),
         ))
+        assert not validate(ra).ok
         summary = reachable_orbits(ra, pool_atoms(EQ, 3), 2)
         assert summary.as_dict() == {"s0": 1, "s": 1, "q": 2}
         assert summary.configs_seen == 1 + 3 + 3 + 6
