@@ -14,10 +14,11 @@ uses :class:`fractions.Fraction` throughout; floats are rejected.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Union
 
 Atom = Union[int, Fraction]
 

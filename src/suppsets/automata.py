@@ -215,7 +215,8 @@ def eval_guard(sig: Signature, g: Guard, val: RestrictedMap, input_atom: Atom) -
 
 def step_full(ra: RegisterAutomaton, c: Config, input_atom: Atom):
     """Successor configurations, one per enabled transition and in transition
-    order, plus the successors dropped as inadmissible."""
+    order, plus the successors dropped as inadmissible.  `RestrictedMap`
+    decides admissibility; `is_admissible` runs only when it refuses."""
     kept, dropped = [], []
     for t in ra.outgoing(c.loc):
         if not eval_guard(ra.signature, t.guard, c.valuation, input_atom):
@@ -224,10 +225,12 @@ def step_full(ra: RegisterAutomaton, c: Config, input_atom: Atom):
         for reg, ref in t.assign:
             images[reg] = input_atom if isinstance(ref, InputRef) else c.valuation(ref.atom)
         fm = FiniteMap.of(images)
-        if not is_admissible(ra.sym, fm):
+        try:
+            kept.append(Config(t.target, RestrictedMap(ra.sym, fm)))
+        except ValueError:
+            if is_admissible(ra.sym, fm):  # raises on an out-of-domain atom
+                raise
             dropped.append((t, fm))
-            continue
-        kept.append(Config(t.target, RestrictedMap(ra.sym, fm)))
     return tuple(kept), tuple(dropped)
 
 
@@ -400,26 +403,27 @@ def reachable_configs(ra: RegisterAutomaton, pool: Support, depth: int) -> tuple
     return tuple(sorted(seen, key=_config_key))
 
 
-def _same_orbit(sym: SymmetryId, c1: Config, c2: Config) -> bool:
-    """Same location and register domain, and the value map that one
-    valuation forces onto the other is admissible."""
-    v1, v2 = c1.valuation.images, c2.valuation.images
-    if c1.loc != c2.loc or v1.domain != v2.domain:
-        return False
-    return is_admissible(sym, FiniteMap.of({x: y for (_, x), (_, y) in zip(v1.items(), v2.items())}))
+def _same_orbit(c1: Config, c2: Config) -> bool:
+    """Same location and register domain: under a group symmetry, the value
+    map one admissible valuation forces onto another of the same registers
+    is injective (equality) or monotone (total order), and a global map
+    extends it."""
+    return c1.loc == c2.loc and c1.valuation.domain == c2.valuation.domain
 
 
 def reachable_orbits(ra: RegisterAutomaton, pool: Support, depth: int) -> OrbitSummary:
     """Orbit counts of the configurations reachable with pool inputs: each
     configuration is kept as a representative unless it shares an orbit
-    with one already kept at its location."""
+    with one already kept at its location.  A location, its register domain
+    and their admissible valuations are one free-extension generator, so one
+    orbit."""
     if not ra.sym.is_group:
         raise ValueError("orbit counting needs a group symmetry")
     configs = reachable_configs(ra, pool, depth)
     reps = {}
     for c in configs:
         kept = reps.setdefault(c.loc, [])
-        if not any(_same_orbit(ra.sym, r, c) for r in kept):
+        if not any(_same_orbit(r, c) for r in kept):
             kept.append(c)
     per_loc = tuple((q, len(reps.get(q, ()))) for q in ra.locations.elements)
     return OrbitSummary(per_loc, len(configs))
@@ -480,6 +484,6 @@ def automaton_from_json(d: dict) -> RegisterAutomaton:
         sym=sym,
         locations=locations,
         initial=d["initial"],
-        final=frozenset(d["final"]),
+        final=d["final"],
         transitions=tuple(transitions),
     )

@@ -70,7 +70,12 @@ def _from_json(where: str, convert, doc, *rest):
 
 
 def _load_automaton(path: str):
-    return _from_json(path, automaton_from_json, _load_json(path))
+    """The automaton at `path`; its validation errors are input errors."""
+    ra = _from_json(path, automaton_from_json, _load_json(path))
+    report = validate(ra)
+    if not report.ok:
+        raise CliError(list(report.errors))
+    return ra
 
 
 def _load_elem(text: str, sym: SymmetryId):
@@ -98,7 +103,7 @@ def _pool_of_size(sym: SymmetryId, n: int) -> Support:
 
 
 def _cmd_validate(args) -> int:
-    ra = _load_automaton(args.automaton)
+    ra = _from_json(args.automaton, automaton_from_json, _load_json(args.automaton))
     report = validate(ra)
     if report.ok:
         _emit(args, "ok", {"command": "validate", "ok": True, "errors": []})
@@ -113,9 +118,6 @@ def _cmd_validate(args) -> int:
 
 def _cmd_run(args) -> int:
     ra = _load_automaton(args.automaton)
-    report = validate(ra)
-    if not report.ok:
-        raise CliError(list(report.errors))
     word = _load_word(args.word, ra.sym)
     accepted = run(ra, word)
     _emit(
@@ -128,9 +130,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_orbits(args) -> int:
     ra = _load_automaton(args.automaton)
-    report = validate(ra)
-    if not report.ok:
-        raise CliError(list(report.errors))
     default_n = max((len(s) for _, s in ra.locations.items), default=0) + 2
     n = max(args.pool or 0, default_n)
     summary = reachable_orbits(ra, _pool_of_size(ra.sym, n), args.depth)

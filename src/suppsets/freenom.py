@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
 
 from .atoms import (
     FiniteMap,
@@ -100,13 +100,15 @@ def act(g: GlobalMap, e: ExtElem) -> ExtElem:
     """Post-compose the reassignment with a global map."""
     if g.sym is not e.pi.sym:
         raise ValueError("mixed symmetries")
-    images = FiniteMap.of({a: apply(g, b) for a, b in e.pi.images.items()})
-    return ExtElem(RestrictedMap(g.sym, images), e.base)
+    return act_finite(lambda b: apply(g, b), e)
 
 
-def act_finite(m: FiniteMap, e: ExtElem) -> ExtElem:
-    """Like `act`, for a finite map defined on (at least) the element's support."""
-    images = FiniteMap.of({a: m(b) for a, b in e.pi.images.items()})
+def act_finite(m: Callable, e: ExtElem) -> ExtElem:
+    """Post-compose the reassignment with `m`, an atom map defined on (at
+    least) the element's support.  The keys stay those of `e.pi`, already
+    sorted and distinct, so the entries need no re-sorting; the
+    `RestrictedMap` constructor is the one admissibility check."""
+    images = FiniteMap(tuple((a, m(b)) for a, b in e.pi.images.items()))
     return ExtElem(RestrictedMap(e.pi.sym, images), e.base)
 
 
@@ -124,8 +126,7 @@ def mult(outer: RestrictedMap, e: ExtElem) -> ExtElem:
         raise ValueError(
             f"outer domain {tuple(outer.domain)} != element support {tuple(ext_support(e))}"
         )
-    images = FiniteMap.of({a: outer(b) for a, b in e.pi.images.items()})
-    return ExtElem(RestrictedMap(e.pi.sym, images), e.base)
+    return act_finite(outer, e)
 
 
 @dataclass(frozen=True)

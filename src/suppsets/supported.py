@@ -10,8 +10,8 @@ exponentials, image factorizations, isomorphism and subobject tests.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
 
 from .atoms import EMPTY_SUPPORT, Support, SymmetryId, atom_from_json, support_to_json
 
@@ -323,18 +323,9 @@ def pf_support(X: SuppSet, elems: Iterable) -> Support:
     return ufs_support(X.support(x) for x in elems)
 
 
-def ufs_support(supports: Iterable[Support], max_atoms: int = None):
-    """Union of a family of supports; None when it exceeds `max_atoms`.
-
-    Finite families (subsets of a SuppSet) always succeed; the bound only
-    guards externally supplied streams that may not be uniformly supported.
-    """
-    out = EMPTY_SUPPORT
-    for s in supports:
-        out = out.union(s)
-        if max_atoms is not None and len(out) > max_atoms:
-            return None
-    return out
+def ufs_support(supports: Iterable[Support]) -> Support:
+    """Union of a finite family of supports."""
+    return Support.of(a for s in supports for a in s)
 
 
 # --- JSON forms ---

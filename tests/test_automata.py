@@ -218,6 +218,31 @@ class TestStep:
         assert len(kept2) == 1 and not dropped2
 
 
+class TestOutOfDomainInputs:
+    """A stored input outside the atom domain raises the atom check's error;
+    it is not dropped as an inadmissible successor."""
+
+    CASES = [
+        (first_repeat_automaton, -1, "-1 is not a natural-number atom (equality)"),
+        (first_repeat_automaton, Fraction(1, 2), "Fraction(1, 2) is not a natural-number atom (equality)"),
+        (first_repeat_automaton, True, "True is not an exact atom"),
+        (ascent_automaton, 0.5, "0.5 is not an exact atom"),
+    ]
+
+    @pytest.mark.parametrize("make, letter, message", CASES)
+    def test_run_raises(self, make, letter, message):
+        with pytest.raises(ValueError) as exc:
+            run(make(), [letter])
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("make, letter, message", CASES)
+    def test_step_full_raises(self, make, letter, message):
+        ra = make()
+        with pytest.raises(ValueError) as exc:
+            step_full(ra, initial_config(ra), letter)
+        assert str(exc.value) == message
+
+
 class TestRun:
     def test_first_repeat_examples(self):
         ra = first_repeat_automaton()
@@ -426,6 +451,13 @@ class TestOrbitRepresentatives:
             for depth in range(4):
                 pool = pool_atoms(sym, n)
                 assert reachable_orbits(ra, pool, depth).as_dict() == pairwise_orbits(ra, pool, depth)
+
+    @given(small_automata(), st.integers(3, 5), st.integers(0, 3))
+    def test_random_automata_match_pairwise_union_find(self, ra, n, depth):
+        assume(validate(ra).ok)
+        ra = RegisterAutomaton(EQ, ra.locations, ra.initial, ra.final, ra.transitions)
+        pool = pool_atoms(EQ, n)
+        assert reachable_orbits(ra, pool, depth).as_dict() == pairwise_orbits(ra, pool, depth)
 
 
 class TestLocationIds:

@@ -19,6 +19,7 @@ from suppsets.freenom import (
     NominalCarrier,
     RestrictedMap,
     act,
+    act_finite,
     admissible_maps,
     check_ext_elem,
     ext_elem_from_json,
@@ -268,6 +269,48 @@ class TestMult:
         e = relem(EQ, {0: 4}, "x")
         with pytest.raises(ValueError):
             mult(RestrictedMap(EQ, FiniteMap.of({0: 0})), e)
+
+
+class TestPostComposition:
+    """`act`, `mult` and `act_finite` share one body; the `RestrictedMap`
+    constructor is their only admissibility check."""
+
+    def setup_method(self):
+        self.e = relem(EQ, {0: 4, 1: 5}, "x")
+
+    def test_inadmissible_finite_map(self):
+        with pytest.raises(ValueError) as exc:
+            act_finite(FiniteMap.of({4: 3, 5: 3}), self.e)
+        assert str(exc.value) == "((0, 3), (1, 3)) is not admissible for equality"
+
+    def test_out_of_domain_image(self):
+        with pytest.raises(ValueError) as exc:
+            act_finite(FiniteMap.of({4: -1, 5: 3}), self.e)
+        assert str(exc.value) == "-1 is not a natural-number atom (equality)"
+
+    def test_preconditions_keep_their_messages(self):
+        with pytest.raises(ValueError) as exc:
+            act(identity(SymmetryId.RENAMING), self.e)
+        assert str(exc.value) == "mixed symmetries"
+        with pytest.raises(ValueError) as exc:
+            mult(RestrictedMap(EQ, FiniteMap.of({0: 0})), self.e)
+        assert str(exc.value) == "outer domain (0,) != element support (4, 5)"
+
+    def test_public_constructor_rejects(self):
+        with pytest.raises(ValueError) as exc:
+            RestrictedMap(SymmetryId.TOTAL_ORDER, FiniteMap.of({0: 2, 1: 1}))
+        assert str(exc.value) == "((0, 2), (1, 1)) is not admissible for total-order"
+
+    @pytest.mark.parametrize("sym", SYMS)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_entries_match_a_sorted_rebuild(self, sym, seed):
+        rng = Random(seed)
+        pool = pool_atoms(sym, 5)
+        X = random_suppset(rng, sym, pool)
+        e = random_ext_elem(rng, sym, X, pool)
+        g = random_global(rng, sym, pool)
+        got = act(g, e).pi.images
+        assert got == FiniteMap.of({a: apply(g, b) for a, b in e.pi.images.items()})
 
 
 class TestEnumerate:

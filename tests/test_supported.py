@@ -352,8 +352,6 @@ class TestSubsetSupports:
         assert pf_support(X, ["x"]) == X.support("x")
 
     def test_ufs_bound(self):
-        supports = (Support.of([i]) for i in range(100))
-        assert ufs_support(supports, max_atoms=10) is None
         assert ufs_support([Support.of([0]), Support.of([1])]) == Support.of([0, 1])
 
 
