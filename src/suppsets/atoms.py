@@ -46,7 +46,12 @@ class SymmetryId(Enum):
 
 
 def check_atom(sym: SymmetryId, a: Atom) -> Atom:
-    """Validate that `a` belongs to the atom domain of `sym`."""
+    """Validate that `a` belongs to the atom domain of `sym`.  A plain `int`
+    >= 0 is in every domain and a plain `Fraction` in the total order's;
+    `bool` and other subclasses take the full check."""
+    t = type(a)
+    if (t is int and a >= 0) or (t is Fraction and sym is SymmetryId.TOTAL_ORDER):
+        return a
     if isinstance(a, bool) or not isinstance(a, (int, Fraction)):
         raise ValueError(f"{a!r} is not an exact atom")
     if not sym.rational_atoms and (not isinstance(a, int) or a < 0):

@@ -28,11 +28,18 @@ from .atoms import (
     apply,
     atom_from_json,
     atom_to_json,
+    check_atom,
     is_admissible,
 )
 from .binding import b_support  # unused here; the benchmark's trace.IMPORT_POINTS wraps it
 from .freenom import RestrictedMap
 from .supported import SuppSet, suppset_from_json, suppset_to_json
+
+
+_MEANINGS = {
+    "eq": lambda args: args[0] == args[1],
+    "lt": lambda args: args[0] < args[1],
+}
 
 
 @dataclass(frozen=True)
@@ -47,12 +54,17 @@ class Signature:
                 return k
         return None
 
+    def meaning(self, name: str):
+        """The relation as a test on an argument tuple.  A name without an
+        interpretation still gets one, which raises when it is evaluated."""
+        fn = _MEANINGS.get(name)
+        if fn is None:
+            def fn(args):
+                raise ValueError(f"relation {name!r} has no interpretation")
+        return fn
+
     def holds(self, name: str, args: tuple) -> bool:
-        if name == "eq":
-            return args[0] == args[1]
-        if name == "lt":
-            return args[0] < args[1]
-        raise ValueError(f"relation {name!r} has no interpretation")
+        return self.meaning(name)(args)
 
 
 def default_signature(sym: SymmetryId) -> Signature:
@@ -122,6 +134,10 @@ class RegisterAutomaton:
         for t in self.transitions:
             by_source.setdefault(t.source, []).append(t)
         self._by_source = {q: tuple(ts) for q, ts in by_source.items()}
+        self._plans = {
+            q: tuple((t, _guard_plan(self.signature, t.guard)) + _assign_plan(t.assign) for t in ts)
+            for q, ts in self._by_source.items()
+        }
 
     def outgoing(self, loc) -> tuple:
         return self._by_source.get(loc, ())
@@ -195,22 +211,46 @@ class UnresolvedRegister(KeyError):
     pass
 
 
-def eval_guard(sig: Signature, g: Guard, val: RestrictedMap, input_atom: Atom) -> bool:
-    """Evaluate a guard against a valuation and the current input."""
+# --- compiled transitions ---
+#
+# A source is `None` for the input and the register atom otherwise (register
+# atoms are atoms, never `None`); a valuation is read as a dict.
 
-    def resolve(ref):
-        if isinstance(ref, InputRef):
-            return input_atom
-        got = val.images.get(ref.atom)
-        if got is None:
-            raise UnresolvedRegister(ref.atom)
-        return got
+def _source(ref):
+    return None if isinstance(ref, InputRef) else ref.atom
 
-    for lit in g.literals:
-        value = sig.holds(lit.relation, tuple(resolve(r) for r in lit.args))
-        if value != lit.positive:
+
+def _guard_plan(sig: Signature, g: Guard) -> tuple:
+    """One `(polarity, meaning, sources)` entry per literal."""
+    return tuple((lit.positive, sig.meaning(lit.relation), tuple(map(_source, lit.args)))
+                 for lit in g.literals)
+
+
+def _assign_plan(assign: tuple) -> tuple:
+    """`(target register, source)` pairs, sorted and without repeats (the
+    last pair for a register wins), plus, when those differ from `assign`,
+    every register `assign` reads, in its order: reading them first raises
+    the `KeyError` of the first missing one, as evaluating `assign` does."""
+    pairs = tuple((reg, _source(ref)) for reg, ref in assign)
+    plan = tuple(sorted(dict(pairs).items()))
+    reads = () if plan == pairs else tuple(s for _, s in pairs if s is not None)
+    return plan, reads
+
+
+def _guard_holds(plan: tuple, vals: dict, input_atom: Atom) -> bool:
+    for positive, meaning, sources in plan:
+        try:
+            args = tuple([input_atom if s is None else vals[s] for s in sources])
+        except KeyError as e:
+            raise UnresolvedRegister(e.args[0]) from None
+        if meaning(args) != positive:
             return False
     return True
+
+
+def eval_guard(sig: Signature, g: Guard, val: RestrictedMap, input_atom: Atom) -> bool:
+    """Evaluate a guard against a valuation and the current input."""
+    return _guard_holds(_guard_plan(sig, g), dict(val.images.entries), input_atom)
 
 
 def step_full(ra: RegisterAutomaton, c: Config, input_atom: Atom):
@@ -218,13 +258,13 @@ def step_full(ra: RegisterAutomaton, c: Config, input_atom: Atom):
     order, plus the successors dropped as inadmissible.  `RestrictedMap`
     decides admissibility; `is_admissible` runs only when it refuses."""
     kept, dropped = [], []
-    for t in ra.outgoing(c.loc):
-        if not eval_guard(ra.signature, t.guard, c.valuation, input_atom):
+    vals = dict(c.valuation.images.entries)
+    for t, guard, assign, reads in ra._plans.get(c.loc, ()):
+        if guard and not _guard_holds(guard, vals, input_atom):
             continue
-        images = {}
-        for reg, ref in t.assign:
-            images[reg] = input_atom if isinstance(ref, InputRef) else c.valuation(ref.atom)
-        fm = FiniteMap.of(images)
+        for s in reads:  # empty unless `t.assign` is unsorted or repeats a register
+            vals[s]
+        fm = FiniteMap(tuple([(reg, input_atom if s is None else vals[s]) for reg, s in assign]))
         try:
             kept.append(Config(t.target, RestrictedMap(ra.sym, fm)))
         except ValueError:
@@ -236,13 +276,17 @@ def step_full(ra: RegisterAutomaton, c: Config, input_atom: Atom):
 
 def _successors(ra: RegisterAutomaton, configs: Iterable[Config], letters: tuple) -> tuple:
     """Every successor of `configs` under any of `letters`, without repeats
-    and sorted."""
+    and sorted.  Each letter is checked against the atom domain here, once,
+    whether or not a transition stores it.  Within one automaton, equal
+    configurations are those with equal location and valuation entries."""
+    for a in letters:
+        check_atom(ra.sym, a)
     seen = {}  # a dict, not a set: ties in the sort key keep discovery order
     for c in configs:
         for a in letters:
             for succ in step_full(ra, c, a)[0]:
-                seen[succ] = None
-    return tuple(sorted(seen, key=_config_key))
+                seen.setdefault((succ.loc, succ.valuation.images.entries), succ)
+    return tuple(sorted(seen.values(), key=_config_key))
 
 
 def step(ra: RegisterAutomaton, c: Config, input_atom: Atom) -> tuple:

@@ -11,6 +11,8 @@ from suppsets.atoms import (
     Support,
     SymmetryId,
     apply,
+    atom_from_json,
+    check_atom,
     compose,
     extend_to_global,
     extend_to_global_alternate,
@@ -139,6 +141,56 @@ class TestAdmissible:
     def test_wrong_atom_domain(self):
         with pytest.raises(ValueError):
             is_admissible(EQ, FiniteMap.of({Fraction(1, 2): 0}))
+
+
+class _Nat(int):
+    """An `int` subclass: it takes the full atom check, not the fast path."""
+
+
+class _Frac(Fraction):
+    pass
+
+
+class TestCheckAtom:
+    """The fast path (a plain `int` >= 0, a plain `Fraction` under total
+    order) gives the same results and messages as the full check."""
+
+    @pytest.mark.parametrize("sym, a, message", [
+        (EQ, True, "True is not an exact atom"),
+        (ORD, True, "True is not an exact atom"),
+        (RN, False, "False is not an exact atom"),
+        (EQ, -1, "-1 is not a natural-number atom (equality)"),
+        (RN, -1, "-1 is not a natural-number atom (renaming)"),
+        (EQ, 0.5, "0.5 is not an exact atom"),
+        (ORD, 0.5, "0.5 is not an exact atom"),
+        (EQ, Fraction(1, 2), "Fraction(1, 2) is not a natural-number atom (equality)"),
+        (RN, Fraction(2), "Fraction(2, 1) is not a natural-number atom (renaming)"),
+        (EQ, _Nat(-3), "-3 is not a natural-number atom (equality)"),
+        (EQ, _Frac(1, 2), "_Frac(1, 2) is not a natural-number atom (equality)"),
+    ])
+    def test_rejects(self, sym, a, message):
+        with pytest.raises(ValueError) as exc:
+            check_atom(sym, a)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("sym, a", [
+        (EQ, 0), (RN, 7), (ORD, 0), (ORD, 5), (ORD, -1),
+        (ORD, Fraction(1, 2)), (ORD, Fraction(-7, 3)), (ORD, Fraction(4)),
+        (EQ, _Nat(3)), (ORD, _Nat(3)), (ORD, _Frac(1, 2)),
+    ])
+    def test_accepts_and_returns_the_atom(self, sym, a):
+        assert check_atom(sym, a) is a
+
+    def test_serves_apply_admissibility_and_json(self):
+        with pytest.raises(ValueError, match=r"^True is not an exact atom$"):
+            apply(identity(EQ), True)
+        with pytest.raises(ValueError, match=r"^-1 is not a natural-number atom \(equality\)$"):
+            is_admissible(EQ, FiniteMap(((0, -1),)))
+        with pytest.raises(ValueError, match=r"^Fraction\(1, 2\) is not a natural-number atom \(equality\)$"):
+            atom_from_json("1/2", EQ)
+        assert atom_from_json("1/2", ORD) == Fraction(1, 2)
+        assert apply(identity(ORD), Fraction(1, 2)) == Fraction(1, 2)
+        assert is_admissible(ORD, FiniteMap(((0, Fraction(1, 2)), (1, 3))))
 
 
 class TestExtendToGlobal:

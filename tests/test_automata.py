@@ -4,13 +4,14 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from suppsets.atoms import (
     FiniteMap,
     Support,
     SymmetryId,
     apply,
+    is_admissible,
 )
 from suppsets.automata import (
     Config,
@@ -26,6 +27,7 @@ from suppsets.automata import (
     Reg,
     RegisterAutomaton,
     TRUE_GUARD,
+    Transition,
     UnresolvedRegister,
     act_config,
     automaton_from_json,
@@ -493,3 +495,191 @@ class TestJson:
         ra = automaton_from_json(doc)
         built = first_repeat_automaton()
         assert automaton_to_json(ra) == automaton_to_json(built)
+
+
+class TestLettersCheckedAtTheBoundary:
+    """Every letter is checked against the atom domain, also one that no
+    transition stores: `[5, -1]` raises as `[-1]` does."""
+
+    CASES = [
+        (-1, "-1 is not a natural-number atom (equality)"),
+        (True, "True is not an exact atom"),
+        (Fraction(1, 2), "Fraction(1, 2) is not a natural-number atom (equality)"),
+    ]
+
+    @pytest.mark.parametrize("letter, message", CASES)
+    def test_run(self, letter, message):
+        with pytest.raises(ValueError) as exc:
+            run(first_repeat_automaton(), [5, letter])
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("letter, message", CASES)
+    def test_step(self, letter, message):
+        ra = first_repeat_automaton()
+        with pytest.raises(ValueError) as exc:
+            step(ra, config(ra, "q1", {0: 5}), letter)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("letter, message", CASES)
+    def test_config_automaton_successor(self, letter, message):
+        ra = first_repeat_automaton()
+        conf = determinize_generic(ExtConfigs, ra)
+        (after_five,) = conf.successor((conf.initial,), 5)
+        with pytest.raises(ValueError) as exc:
+            conf.successor((after_five,), letter)
+        assert str(exc.value) == message
+
+    def test_letter_checked_with_an_empty_frontier(self):
+        locs = SuppSet.of([("q0", Support())])
+        ra = RegisterAutomaton(EQ, locs, "q0", frozenset(), ())
+        with pytest.raises(ValueError, match=r"^-1 is not a natural-number atom \(equality\)$"):
+            run(ra, [0, -1])
+
+
+# --- the per-letter path before transitions were compiled: the oracle ---
+
+def _oracle_holds(name, args):
+    if name == "eq":
+        return args[0] == args[1]
+    if name == "lt":
+        return args[0] < args[1]
+    raise ValueError(f"relation {name!r} has no interpretation")
+
+
+def oracle_eval_guard(g, val, input_atom):
+    def resolve(ref):
+        if isinstance(ref, InputRef):
+            return input_atom
+        got = val.images.get(ref.atom)
+        if got is None:
+            raise UnresolvedRegister(ref.atom)
+        return got
+
+    for lit in g.literals:
+        value = _oracle_holds(lit.relation, tuple(resolve(r) for r in lit.args))
+        if value != lit.positive:
+            return False
+    return True
+
+
+def oracle_step_full(ra, c, input_atom):
+    kept, dropped = [], []
+    for t in ra.outgoing(c.loc):
+        if not oracle_eval_guard(t.guard, c.valuation, input_atom):
+            continue
+        images = {}
+        for reg, ref in t.assign:
+            images[reg] = input_atom if isinstance(ref, InputRef) else c.valuation(ref.atom)
+        fm = FiniteMap.of(images)
+        try:
+            kept.append(Config(t.target, RestrictedMap(ra.sym, fm)))
+        except ValueError:
+            if is_admissible(ra.sym, fm):
+                raise
+            dropped.append((t, fm))
+    return tuple(kept), tuple(dropped)
+
+
+def outcome(fn, *args):
+    """A result, or the type and message of the exception raised."""
+    try:
+        return "ok", fn(*args)
+    except Exception as e:  # the comparison covers every exception type
+        return type(e), str(e)
+
+
+@st.composite
+def perturbed_automata(draw):
+    """`small_automata` draws, validated or not, under any symmetry, with
+    literals now and then `lt`, an unknown relation or another arity, and
+    transitions now and then built directly with unsorted or repeated
+    assignment pairs that may read a register the source lacks."""
+    ra = draw(small_automata())
+    sym = draw(st.sampled_from((EQ, ORD, SymmetryId.RENAMING)))
+    refs = st.sampled_from([INPUT] + [Reg(a) for a in range(5)])
+    transitions = []
+    for t in ra.transitions:
+        literals = []
+        for lit in t.guard.literals:
+            relation = draw(st.sampled_from(("eq", "eq", "lt", "between")))
+            args = lit.args
+            if draw(st.integers(0, 9)) == 0:
+                args = draw(st.lists(refs, min_size=1, max_size=3).map(tuple))
+            literals.append(Literal(lit.positive, relation, args))
+        assign = t.assign
+        if draw(st.integers(0, 3)) == 0:
+            extra = draw(st.lists(st.tuples(st.integers(0, 4), refs), max_size=2))
+            assign = tuple(draw(st.permutations(list(assign) + extra)))
+        transitions.append(Transition(t.source, Guard(tuple(literals)), t.target, assign))
+    return RegisterAutomaton(sym, ra.locations, ra.initial, ra.final, tuple(transitions))
+
+
+class TestCompiledStepMatchesOracle:
+    """`step_full` and `eval_guard`, which run compiled plans, keep and drop
+    the same successors in the same order as the uncompiled loop, and raise
+    the same exceptions with the same messages."""
+
+    @staticmethod
+    def letters(ra, c, rng):
+        pool = [0, 1, 2, 3, 4] + [v for _, v in c.valuation.images.items()]
+        if ra.sym is ORD:
+            pool += [Fraction(1, 2), Fraction(7, 2)]
+        return [rng.choice(pool) for _ in range(3)]
+
+    @staticmethod
+    def valuations(ra, rng):
+        """Admissible valuations of random register sets, at any location."""
+        for q in ra.locations.elements:
+            regs = sorted(rng.sample(range(5), rng.randint(0, 3)))
+            values = sorted(rng.sample(range(6), len(regs)))
+            if ra.sym is not ORD:
+                rng.shuffle(values)
+            yield Config(q, RestrictedMap(ra.sym, FiniteMap.of(dict(zip(regs, values)))))
+
+    def compare(self, ra, c, a):
+        got = outcome(step_full, ra, c, a)
+        assert got == outcome(oracle_step_full, ra, c, a)
+        for t in ra.outgoing(c.loc):
+            assert (outcome(eval_guard, ra.signature, t.guard, c.valuation, a)
+                    == outcome(oracle_eval_guard, t.guard, c.valuation, a))
+        return got
+
+    @settings(max_examples=300, deadline=None)
+    @given(perturbed_automata(), st.integers(0, 2 ** 32))
+    def test_random_automata(self, ra, seed):
+        rng = Random(seed)
+        frontier = [initial_config(ra)] + list(self.valuations(ra, rng))
+        for _ in range(4):
+            nxt = []
+            for c in frontier[:6]:
+                for a in self.letters(ra, c, rng):
+                    kind, result = self.compare(ra, c, a)
+                    if kind == "ok":
+                        nxt += result[0]
+            frontier = nxt
+
+    @pytest.mark.parametrize("name, args", [("eq", (1, 1)), ("eq", (1, 2)), ("lt", (1, 2)), ("lt", (2, 1)),
+                                            ("between", (1, 2)), ("eq", (1,)), ("lt", (1, 2, 0))])
+    def test_signature_holds(self, name, args):
+        for sym in (EQ, ORD):
+            assert outcome(default_signature(sym).holds, name, args) == outcome(_oracle_holds, name, args)
+
+    def test_exceptions_are_exercised(self):
+        """Each exception the comparison is meant to cover is raised on a
+        hand-built automaton, by the compiled path and the oracle alike."""
+        locs = SuppSet.of([("q0", Support.of([0])), ("q1", Support.of([0, 1]))])
+        c = config(RegisterAutomaton(EQ, locs, "q0", frozenset(), ()), "q0", {0: 5})
+        cases = [
+            (Transition("q0", Guard((Literal(True, "eq", (INPUT, Reg(3))),)), "q1", ()), UnresolvedRegister),
+            (Transition("q0", Guard((Literal(True, "between", (INPUT, Reg(0))),)), "q1", ()), ValueError),
+            (Transition("q0", TRUE_GUARD, "q1", ((0, Reg(0)), (1, Reg(2)))), KeyError),
+            (Transition("q0", TRUE_GUARD, "q1", ((1, Reg(0)), (0, INPUT))), None),
+            (Transition("q0", TRUE_GUARD, "q1", ((0, Reg(3)), (0, INPUT))), KeyError),
+            (Transition("q0", TRUE_GUARD, "q1", ((1, Reg(4)), (0, Reg(3)))), KeyError),
+        ]
+        for t, raised in cases:
+            ra = RegisterAutomaton(EQ, locs, "q0", frozenset(), (t,))
+            kind, _ = self.compare(ra, c, 7)
+            assert kind == (raised or "ok")
+        unknown = RegisterAutomaton(EQ, locs, "q0", frozenset(), (cases[1][0],))
+        assert any("unknown relation 'between'" in e for e in validate(unknown).errors)
