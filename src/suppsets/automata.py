@@ -11,7 +11,11 @@ A configuration pairs a location with an admissible register valuation;
 stepping through all matching transitions yields the (finitely branching)
 configuration automaton.  `determinize_generic` exposes the construction
 generically: with finite-powerset side effects it is the classical subset
-construction, with free-nominal side effects it is exactly `step`/`run`.
+construction, with free-nominal side effects it is the configuration
+automaton that `step`/`run` walk.  A step is equivariant, so the walk runs
+`step_full` once per orbit, on the order type of the registers' values and
+the input, and renames that result to every other configuration of the
+orbit.
 """
 
 from __future__ import annotations
@@ -155,11 +159,6 @@ def initial_config(ra: RegisterAutomaton) -> Config:
     return Config(ra.initial, RestrictedMap(ra.sym, FiniteMap.of({})))
 
 
-def _config_key(c: Config):
-    """Sort key only: locations `1` and `"1"` tie here but are distinct configs."""
-    return (str(c.loc), c.valuation.images.entries)
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     errors: tuple
@@ -256,7 +255,9 @@ def eval_guard(sig: Signature, g: Guard, val: RestrictedMap, input_atom: Atom) -
 def step_full(ra: RegisterAutomaton, c: Config, input_atom: Atom):
     """Successor configurations, one per enabled transition and in transition
     order, plus the successors dropped as inadmissible.  `RestrictedMap`
-    decides admissibility; `is_admissible` runs only when it refuses."""
+    decides admissibility; `is_admissible` runs only when it refuses.  The
+    frontier loop calls this once per orbit, on its order type (see
+    `_successors`), so the constructor runs once per orbit too."""
     kept, dropped = [], []
     vals = dict(c.valuation.images.entries)
     for t, guard, assign, reads in ra._plans.get(c.loc, ()):
@@ -274,31 +275,109 @@ def step_full(ra: RegisterAutomaton, c: Config, input_atom: Atom):
     return tuple(kept), tuple(dropped)
 
 
-def _successors(ra: RegisterAutomaton, configs: Iterable[Config], letters: tuple) -> tuple:
-    """Every successor of `configs` under any of `letters`, without repeats
-    and sorted.  Each letter is checked against the atom domain here, once,
-    whether or not a transition stores it.  Within one automaton, equal
-    configurations are those with equal location and valuation entries."""
+# --- the frontier loop ---
+#
+# Inside a walk a configuration is a key `(location, registers, values)`:
+# two tuples in register order, so the key is the valuation's entries split.
+
+def _key(c: Config) -> tuple:
+    entries = c.valuation.images.entries
+    return c.loc, tuple([r for r, _ in entries]), tuple([v for _, v in entries])
+
+
+def _own_keys(ra: RegisterAutomaton, configs: Iterable[Config]):
+    """The keys of configurations a caller hands in.  One whose valuation
+    was built under another symmetry is checked against `ra.sym` first: the
+    loop trusts every valuation it steps to be admissible."""
+    for c in configs:
+        if c.valuation.sym is not ra.sym:
+            RestrictedMap(ra.sym, c.valuation.images)
+        yield _key(c)
+
+
+def _config_key(k: tuple):
+    """Sort key only: locations `1` and `"1"` tie here but are distinct configs."""
+    return str(k[0]), tuple(zip(k[1], k[2]))
+
+
+def _configs(ra: RegisterAutomaton, keys) -> tuple:
+    """The keys' configurations, sorted by `_config_key` (ties keep the
+    keys' order)."""
+    return tuple(Config(loc, RestrictedMap(ra.sym, FiniteMap(tuple(zip(regs, vals)))))
+                 for loc, regs, vals in sorted(keys, key=_config_key))
+
+
+def _order_type(values: list) -> tuple:
+    """Dense ranks of `values`, equal values sharing one, and the value at
+    each rank (the first of equal values, as `2` and `Fraction(2)` are).
+    Only `<` is used, never hashing: a `Fraction` computes its hash afresh
+    on every call, at about the cost of a comparison."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0] * len(values)
+    at_rank = [values[order[0]]]
+    for i in order[1:]:
+        v = values[i]
+        if at_rank[-1] < v:
+            at_rank.append(v)
+        ranks[i] = len(at_rank) - 1
+    return ranks, at_rank
+
+
+def _orbit_step(ra: RegisterAutomaton, loc, regs: tuple, ranks: list) -> tuple:
+    """The kept successors of the order type `ranks` (register values, then
+    the input) at `loc`, as `(target, registers, value ranks)` templates.
+    The ranks are naturals, so atoms of every domain."""
+    c = Config(loc, RestrictedMap(ra.sym, FiniteMap(tuple(zip(regs, ranks)))))
+    return tuple(map(_key, step_full(ra, c, ranks[-1])[0]))
+
+
+def _successors(ra: RegisterAutomaton, keys, letters: tuple, memo: dict) -> list:
+    """Every successor key of `keys` under any of `letters`, without repeats
+    and in discovery order.  Each letter is checked against the atom domain
+    here, once, whether or not a transition stores it.
+
+    A step observes only `eq`/`lt` between the input and the registers and
+    admissibility, all of which a strictly monotone bijection keeps, and it
+    only copies atoms.  So its successors are fixed by the location, the
+    registers and the order type of their values plus the input: `step_full`
+    runs once per order type, on the ranks, and `memo` (one walk's) holds
+    the result, which is renamed back to the atoms at every other hit.  An
+    order type whose step raises is not stored."""
     for a in letters:
         check_atom(ra.sym, a)
-    seen = {}  # a dict, not a set: ties in the sort key keep discovery order
-    for c in configs:
+    out = []
+    for loc, regs, vals in keys:
         for a in letters:
-            for succ in step_full(ra, c, a)[0]:
-                seen.setdefault((succ.loc, succ.valuation.images.entries), succ)
-    return tuple(sorted(seen.values(), key=_config_key))
+            ranks, at_rank = _order_type([*vals, a])
+            mkey = (loc, regs, tuple(ranks))
+            succs = memo.get(mkey)
+            if succs is None:
+                succs = memo[mkey] = _orbit_step(ra, loc, regs, ranks)
+            for target, tregs, tranks in succs:
+                out.append((target, tregs, tuple([at_rank[r] for r in tranks])))
+    return list(dict.fromkeys(out)) if len(out) > 1 else out  # one key needs no hashing
 
 
 def step(ra: RegisterAutomaton, c: Config, input_atom: Atom) -> tuple:
-    return _successors(ra, (c,), (input_atom,))
+    return _configs(ra, _successors(ra, _own_keys(ra, (c,)), (input_atom,), {}))
 
 
 def run(ra: RegisterAutomaton, word: Iterable[Atom]) -> bool:
-    """Breadth-first subset tracking; accept when a final location is live."""
-    frontier = (initial_config(ra),)
+    """Breadth-first subset tracking; accept when a final location is live.
+    The frontier holds keys in discovery order.  When a letter raises, it is
+    replayed on the frontier's configurations in `_config_key` order, so the
+    first of them to raise decides which error the caller sees."""
+    memo = {}
+    frontier = [_key(initial_config(ra))]
     for a in word:
-        frontier = _successors(ra, frontier, (a,))
-    return any(c.loc in ra.final for c in frontier)
+        try:
+            frontier = _successors(ra, frontier, (a,), memo)
+        except Exception:
+            check_atom(ra.sym, a)
+            for c in _configs(ra, frontier):
+                step_full(ra, c, a)
+            raise
+    return any(loc in ra.final for loc, _, _ in frontier)
 
 
 def act_config(g: GlobalMap, c: Config) -> Config:
@@ -396,7 +475,7 @@ class ConfigAutomaton:
         return initial_config(self.ra)
 
     def successor(self, configs, input_atom):
-        return _successors(self.ra, configs, (input_atom,))
+        return _configs(self.ra, _successors(self.ra, _own_keys(self.ra, configs), (input_atom,), {}))
 
     def accepts(self, word) -> bool:
         return run(self.ra, word)
@@ -407,7 +486,8 @@ def determinize_generic(monad, coalg):
 
     With `PfSubsets` and an `Nfa` this is the classical subset
     construction; with `ExtConfigs` and a `RegisterAutomaton` it is the
-    configuration automaton realized by `step`/`run`.
+    configuration automaton, whose transitions `step`/`run` compute once
+    per orbit (one `step_full` per order type) and rename to the rest.
     """
     if monad is PfSubsets:
         if not isinstance(coalg, Nfa):
@@ -436,15 +516,20 @@ class OrbitSummary:
 
 
 def reachable_configs(ra: RegisterAutomaton, pool: Support, depth: int) -> tuple:
-    frontier = (initial_config(ra),)
+    """Configurations within `depth` letters of the pool, breadth first.
+    Each level is sorted by `_config_key` before it is stepped, so the
+    successors, and any error, come in the order of a sorted frontier."""
+    memo = {}
+    frontier = [_key(initial_config(ra))]
     seen = dict.fromkeys(frontier)
     letters = tuple(pool)
     for _ in range(depth):
-        frontier = [c for c in _successors(ra, frontier, letters) if c not in seen]
+        frontier = [k for k in sorted(_successors(ra, frontier, letters, memo), key=_config_key)
+                    if k not in seen]
         if not frontier:
             break
         seen.update(dict.fromkeys(frontier))
-    return tuple(sorted(seen, key=_config_key))
+    return _configs(ra, seen)
 
 
 def _same_orbit(c1: Config, c2: Config) -> bool:

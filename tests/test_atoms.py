@@ -54,6 +54,12 @@ class TestApply:
         assert ys == sorted(ys) and len(set(ys)) == len(ys)
         assert all(apply(inverse(g), y) == x for x, y in zip(xs, ys))
 
+    def test_bool_rejected_though_the_table_holds_its_int(self):
+        """`True == 1` and both hash alike, so the permutation's table alone
+        would map `True` to 2: the atom check must come first."""
+        with pytest.raises(ValueError, match=r"^True is not an exact atom$"):
+            apply(finite_perm(EQ, {1: 2, 2: 1}), True)
+
 
 def pwl_canonical_restart(points) -> tuple:
     """The former canonical form, as an oracle: drop any breakpoint the

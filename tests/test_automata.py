@@ -11,8 +11,10 @@ from suppsets.atoms import (
     Support,
     SymmetryId,
     apply,
+    check_atom,
     is_admissible,
 )
+from suppsets import automata as automata_module
 from suppsets.automata import (
     Config,
     ConfigAutomaton,
@@ -199,6 +201,16 @@ class TestStep:
     def test_mismatching_input_loops(self):
         succ = step(self.ra, config(self.ra, "q1", {0: 5}), 3)
         assert succ == (config(self.ra, "q1", {0: 5}),)
+
+    def test_valuation_of_another_symmetry_is_checked(self):
+        """The frontier loop steps a valuation's order type, so it must be
+        admissible for the automaton's symmetry; one built under another
+        symmetry is checked against it on the way in."""
+        tied = Config("q1", RestrictedMap(SymmetryId.RENAMING, FiniteMap.of({0: 5, 1: 5})))
+        with pytest.raises(ValueError, match=r"^\(\(0, 5\), \(1, 5\)\) is not admissible for equality$"):
+            step(self.ra, tied, 3)
+        renamed = Config("q1", RestrictedMap(SymmetryId.RENAMING, FiniteMap.of({0: 5})))
+        assert step(self.ra, renamed, 5) == (config(self.ra, "qa", {}),)
 
     def test_inadmissible_successor_dropped_with_flag(self):
         # a two-register location forced to store the same value twice
@@ -683,3 +695,151 @@ class TestCompiledStepMatchesOracle:
             assert kind == (raised or "ok")
         unknown = RegisterAutomaton(EQ, locs, "q0", frozenset(), (cases[1][0],))
         assert any("unknown relation 'between'" in e for e in validate(unknown).errors)
+
+
+# --- the frontier loop before steps were memoised per orbit: the oracle ---
+
+def oracle_successors(ra, configs, letters):
+    for a in letters:
+        check_atom(ra.sym, a)
+    seen = {}
+    for c in configs:
+        for a in letters:
+            for succ in step_full(ra, c, a)[0]:
+                seen.setdefault((succ.loc, succ.valuation.images.entries), succ)
+    return tuple(sorted(seen.values(), key=lambda c: (str(c.loc), c.valuation.images.entries)))
+
+
+def oracle_run(ra, word):
+    frontier = (initial_config(ra),)
+    for a in word:
+        frontier = oracle_successors(ra, frontier, (a,))
+    return any(c.loc in ra.final for c in frontier)
+
+
+def oracle_reachable_configs(ra, pool, depth):
+    frontier = (initial_config(ra),)
+    seen = dict.fromkeys(frontier)
+    letters = tuple(pool)
+    for _ in range(depth):
+        frontier = [c for c in oracle_successors(ra, frontier, letters) if c not in seen]
+        if not frontier:
+            break
+        seen.update(dict.fromkeys(frontier))
+    return tuple(sorted(seen, key=lambda c: (str(c.loc), c.valuation.images.entries)))
+
+
+class TestOrbitMemoMatchesOracle:
+    """`run` and `reachable_configs`, which step once per order type and
+    rename, give the sorted-frontier loop's results and raise its exceptions
+    with its messages."""
+
+    @staticmethod
+    def compare_runs(ra, finals, words):
+        """Every prefix of every word, under each final set: with a single
+        final location the verdict says whether that location is live."""
+        for final in finals:
+            ra = RegisterAutomaton(ra.sym, ra.locations, ra.initial, final, ra.transitions)
+            for word in words:
+                for i in range(len(word) + 1):
+                    assert outcome(run, ra, word[:i]) == outcome(oracle_run, ra, word[:i])
+
+    @settings(max_examples=300, deadline=None)
+    @given(perturbed_automata(), st.data())
+    def test_run(self, ra, data):
+        final = data.draw(st.sets(st.sampled_from(ra.locations.elements)))
+        pool = tuple(pool_atoms(ra.sym, data.draw(st.integers(1, 4))))
+        words = data.draw(st.lists(st.lists(st.sampled_from(pool), max_size=8), min_size=1, max_size=3))
+        self.compare_runs(ra, [final] + [{q} for q in ra.locations.elements], words)
+
+    @pytest.mark.parametrize("make", [first_repeat_automaton, ascent_automaton, guess_store_automaton])
+    def test_shipped_automata(self, make):
+        ra = make()
+        rng = Random(11)
+        pool = tuple(pool_atoms(ra.sym, 4))
+        words = [[rng.choice(pool) for _ in range(rng.randint(0, 8))] for _ in range(60)]
+        self.compare_runs(ra, [{q} for q in ra.locations.elements], words)
+
+    @settings(max_examples=200, deadline=None)
+    @given(perturbed_automata(), st.integers(3, 5), st.integers(0, 3))
+    def test_reachable_configs(self, ra, n, depth):
+        pool = pool_atoms(ra.sym, n)
+        assert outcome(reachable_configs, ra, pool, depth) == outcome(oracle_reachable_configs, ra, pool, depth)
+
+    def test_error_of_the_sorted_frontier(self):
+        """After `5` the frontier is `z` then `a` in discovery order, `a`
+        then `z` sorted.  On `6`, `z`'s guard raises `ValueError` and `a`'s
+        `UnresolvedRegister`; the sorted loop meets `a` first."""
+        locs = SuppSet.of([("p", Support()), ("z", Support.of([0])), ("a", Support.of([0]))])
+        ts = (
+            make_transition("p", TRUE_GUARD, "z", {0: INPUT}),
+            make_transition("p", TRUE_GUARD, "a", {0: INPUT}),
+            make_transition("z", Guard((Literal(True, "between", (INPUT, Reg(0))),)), "z", {0: Reg(0)}),
+            make_transition("a", Guard((Literal(True, "eq", (INPUT, Reg(3))),)), "a", {0: Reg(0)}),
+        )
+        ra = RegisterAutomaton(EQ, locs, "p", frozenset(), ts)
+        assert outcome(oracle_run, ra, [5, 6]) == (UnresolvedRegister, "3")
+        assert outcome(run, ra, [5, 6]) == (UnresolvedRegister, "3")
+        pool = Support.of([5, 6])
+        assert outcome(reachable_configs, ra, pool, 2) == outcome(oracle_reachable_configs, ra, pool, 2)
+
+
+    def test_register_domain_in_the_memo_key(self):
+        """Unvalidated, `q` is reached with register 0 and with register 1
+        holding the same value: one order type, two steps.  The second reads
+        the register it lacks."""
+        locs = SuppSet.of([("p", Support()), ("q", Support.of([0])), ("acc", Support())])
+        ts = (
+            make_transition("p", TRUE_GUARD, "q", {0: INPUT}),
+            make_transition("p", TRUE_GUARD, "q", {1: INPUT}),
+            make_transition("q", Guard((Literal(True, "eq", (INPUT, Reg(0))),)), "acc", {}),
+        )
+        ra = RegisterAutomaton(EQ, locs, "p", frozenset(["acc"]), ts)
+        assert outcome(oracle_run, ra, [5, 5]) == (UnresolvedRegister, "0")
+        assert outcome(run, ra, [5, 5]) == (UnresolvedRegister, "0")
+
+
+class TestOneStepPerOrbit:
+    """`run` calls `step_full` once per order type of (location, register
+    values, input), however long the word: no clock, a count."""
+
+    @staticmethod
+    def count_steps(monkeypatch, ra, word):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return step_full(*args)
+
+        monkeypatch.setattr(automata_module, "step_full", counted)
+        run(ra, word)
+        return len(calls)
+
+    @staticmethod
+    def repeat_word(rng, n, accept):
+        word = [1] + rng.sample(range(2, 10 * n), n - 1)
+        if accept:
+            word[n // 2] = 1
+        return word
+
+    @staticmethod
+    def ascent_word(rng, n, accept):
+        first = Fraction(rng.randrange(10 ** 5, 10 ** 6), rng.randrange(50, 97))
+        word = [first] + [first - Fraction(rng.randrange(1, 10 ** 6), rng.randrange(50, 97)) for _ in range(n - 1)]
+        if accept:
+            word[n // 2] = first + Fraction(1, 3)
+        return word
+
+    @pytest.mark.parametrize("accept", [True, False])
+    def test_long_words(self, monkeypatch, accept):
+        rng = Random(7)
+        for ra, make in ((first_repeat_automaton(), self.repeat_word), (ascent_automaton(), self.ascent_word)):
+            counts = {self.count_steps(monkeypatch, ra, make(rng, n, accept)) for n in (200, 2000, 20000)}
+            assert len(counts) == 1 and counts.pop() <= 4
+
+    def test_wide_frontier(self, monkeypatch):
+        rng = Random(3)
+        ra = guess_store_automaton()
+        atoms = rng.sample(range(1000), 20)
+        counts = [self.count_steps(monkeypatch, ra, [rng.choice(atoms) for _ in range(n)]) for n in (40, 100)]
+        assert counts[0] == counts[1] <= 18
