@@ -40,12 +40,6 @@ from .freenom import RestrictedMap
 from .supported import SuppSet, suppset_from_json, suppset_to_json
 
 
-_MEANINGS = {
-    "eq": lambda args: args[0] == args[1],
-    "lt": lambda args: args[0] < args[1],
-}
-
-
 @dataclass(frozen=True)
 class Signature:
     """Relation names with arities; `eq` and `lt` have fixed meanings."""
@@ -58,17 +52,12 @@ class Signature:
                 return k
         return None
 
-    def meaning(self, name: str):
-        """The relation as a test on an argument tuple.  A name without an
-        interpretation still gets one, which raises when it is evaluated."""
-        fn = _MEANINGS.get(name)
-        if fn is None:
-            def fn(args):
-                raise ValueError(f"relation {name!r} has no interpretation")
-        return fn
-
     def holds(self, name: str, args: tuple) -> bool:
-        return self.meaning(name)(args)
+        if name == "eq":
+            return args[0] == args[1]
+        if name == "lt":
+            return args[0] < args[1]
+        raise ValueError(f"relation {name!r} has no interpretation")
 
 
 def default_signature(sym: SymmetryId) -> Signature:
@@ -138,10 +127,6 @@ class RegisterAutomaton:
         for t in self.transitions:
             by_source.setdefault(t.source, []).append(t)
         self._by_source = {q: tuple(ts) for q, ts in by_source.items()}
-        self._plans = {
-            q: tuple((t, _guard_plan(self.signature, t.guard)) + _assign_plan(t.assign) for t in ts)
-            for q, ts in self._by_source.items()
-        }
 
     def outgoing(self, loc) -> tuple:
         return self._by_source.get(loc, ())
@@ -210,46 +195,21 @@ class UnresolvedRegister(KeyError):
     pass
 
 
-# --- compiled transitions ---
-#
-# A source is `None` for the input and the register atom otherwise (register
-# atoms are atoms, never `None`); a valuation is read as a dict.
-
-def _source(ref):
-    return None if isinstance(ref, InputRef) else ref.atom
-
-
-def _guard_plan(sig: Signature, g: Guard) -> tuple:
-    """One `(polarity, meaning, sources)` entry per literal."""
-    return tuple((lit.positive, sig.meaning(lit.relation), tuple(map(_source, lit.args)))
-                 for lit in g.literals)
-
-
-def _assign_plan(assign: tuple) -> tuple:
-    """`(target register, source)` pairs, sorted and without repeats (the
-    last pair for a register wins), plus, when those differ from `assign`,
-    every register `assign` reads, in its order: reading them first raises
-    the `KeyError` of the first missing one, as evaluating `assign` does."""
-    pairs = tuple((reg, _source(ref)) for reg, ref in assign)
-    plan = tuple(sorted(dict(pairs).items()))
-    reads = () if plan == pairs else tuple(s for _, s in pairs if s is not None)
-    return plan, reads
-
-
-def _guard_holds(plan: tuple, vals: dict, input_atom: Atom) -> bool:
-    for positive, meaning, sources in plan:
-        try:
-            args = tuple([input_atom if s is None else vals[s] for s in sources])
-        except KeyError as e:
-            raise UnresolvedRegister(e.args[0]) from None
-        if meaning(args) != positive:
-            return False
-    return True
-
-
 def eval_guard(sig: Signature, g: Guard, val: RestrictedMap, input_atom: Atom) -> bool:
     """Evaluate a guard against a valuation and the current input."""
-    return _guard_holds(_guard_plan(sig, g), dict(val.images.entries), input_atom)
+
+    def resolve(ref):
+        if isinstance(ref, InputRef):
+            return input_atom
+        got = val.images.get(ref.atom)
+        if got is None:
+            raise UnresolvedRegister(ref.atom)
+        return got
+
+    for lit in g.literals:
+        if sig.holds(lit.relation, tuple(resolve(r) for r in lit.args)) != lit.positive:
+            return False
+    return True
 
 
 def step_full(ra: RegisterAutomaton, c: Config, input_atom: Atom):
@@ -259,13 +219,13 @@ def step_full(ra: RegisterAutomaton, c: Config, input_atom: Atom):
     frontier loop calls this once per orbit, on its order type (see
     `_successors`), so the constructor runs once per orbit too."""
     kept, dropped = [], []
-    vals = dict(c.valuation.images.entries)
-    for t, guard, assign, reads in ra._plans.get(c.loc, ()):
-        if guard and not _guard_holds(guard, vals, input_atom):
+    for t in ra.outgoing(c.loc):
+        if not eval_guard(ra.signature, t.guard, c.valuation, input_atom):
             continue
-        for s in reads:  # empty unless `t.assign` is unsorted or repeats a register
-            vals[s]
-        fm = FiniteMap(tuple([(reg, input_atom if s is None else vals[s]) for reg, s in assign]))
+        images = {}
+        for reg, ref in t.assign:
+            images[reg] = input_atom if isinstance(ref, InputRef) else c.valuation(ref.atom)
+        fm = FiniteMap.of(images)
         try:
             kept.append(Config(t.target, RestrictedMap(ra.sym, fm)))
         except ValueError:
@@ -359,7 +319,7 @@ def _successors(ra: RegisterAutomaton, keys, letters: tuple, memo: dict) -> list
 
 
 def step(ra: RegisterAutomaton, c: Config, input_atom: Atom) -> tuple:
-    return _configs(ra, _successors(ra, _own_keys(ra, (c,)), (input_atom,), {}))
+    return ConfigAutomaton(ra).successor((c,), input_atom)
 
 
 def run(ra: RegisterAutomaton, word: Iterable[Atom]) -> bool:

@@ -24,10 +24,12 @@ from .freenom import (
     act_finite,
     admissible_maps,
     check_ext_elem,
+    ext_elem_from_json,
+    ext_elem_to_json,
     ext_enumerate,
     ext_support,
 )
-from .supported import SuppSet, UnionFind
+from .supported import SuppSet, UnionFind, suppset_from_json, suppset_to_json
 
 
 @dataclass(frozen=True)
@@ -252,9 +254,6 @@ def act_quot(g: GlobalMap, q: QuotElem) -> QuotElem:
 # --- JSON forms ---
 
 def presentation_to_json(P: FinPresentation) -> dict:
-    from .freenom import ext_elem_to_json
-    from .supported import suppset_to_json
-
     return {
         "symmetry": P.sym.value,
         "generators": suppset_to_json(P.generators),
@@ -265,9 +264,6 @@ def presentation_to_json(P: FinPresentation) -> dict:
 
 
 def presentation_from_json(d: dict) -> FinPresentation:
-    from .freenom import ext_elem_from_json
-    from .supported import suppset_from_json
-
     sym = SymmetryId.parse(d["symmetry"])
     gens = suppset_from_json(d["generators"], sym)
     eqs = tuple(

@@ -627,9 +627,10 @@ def perturbed_automata(draw):
 
 
 class TestCompiledStepMatchesOracle:
-    """`step_full` and `eval_guard`, which run compiled plans, keep and drop
-    the same successors in the same order as the uncompiled loop, and raise
-    the same exceptions with the same messages."""
+    """`step_full` and `eval_guard` keep and drop the same successors in the
+    same order as the oracle loop, and raise the same exceptions with the
+    same messages.  They interpret each transition directly, as the oracle
+    does; the comparison stays to check any later fast path."""
 
     @staticmethod
     def letters(ra, c, rng):
@@ -678,7 +679,7 @@ class TestCompiledStepMatchesOracle:
 
     def test_exceptions_are_exercised(self):
         """Each exception the comparison is meant to cover is raised on a
-        hand-built automaton, by the compiled path and the oracle alike."""
+        hand-built automaton, by `step_full` and the oracle alike."""
         locs = SuppSet.of([("q0", Support.of([0])), ("q1", Support.of([0, 1]))])
         c = config(RegisterAutomaton(EQ, locs, "q0", frozenset(), ()), "q0", {0: 5})
         cases = [
