@@ -84,19 +84,13 @@ class Support:
     def union(self, other: "Support") -> "Support":
         return Support.of(self.atoms + tuple(other))
 
-    __or__ = union
-
     def intersect(self, other: "Support") -> "Support":
         o = set(other)
         return Support.of(a for a in self.atoms if a in o)
 
-    __and__ = intersect
-
     def minus(self, other: Iterable[Atom]) -> "Support":
         o = set(other)
         return Support.of(a for a in self.atoms if a not in o)
-
-    __sub__ = minus
 
     def issubset(self, other: "Support") -> bool:
         o = set(other)
@@ -377,12 +371,16 @@ def fresh(sym: SymmetryId, avoid: Support) -> Atom:
 
 
 def fresh_atoms(sym: SymmetryId, avoid: Support, count: int) -> list:
-    out = []
-    pool = avoid
-    for _ in range(count):
-        a = fresh(sym, pool)
-        out.append(a)
-        pool = pool.union(Support.of([a]))
+    """The first `count` atoms that repeated `fresh` calls would pick, each
+    avoiding `avoid` and the ones before it; none when `count` <= 0."""
+    if sym.rational_atoms:
+        first = fresh(sym, avoid)
+        return [first + i for i in range(count)]
+    out, used, n = [], set(avoid), 0
+    while len(out) < count:
+        if n not in used:
+            out.append(n)
+        n += 1
     return out
 
 
@@ -400,7 +398,10 @@ def atom_from_json(v, sym: SymmetryId = None) -> Atom:
     if isinstance(v, bool) or isinstance(v, float):
         raise ValueError(f"inexact atom literal {v!r}")
     if isinstance(v, str):
-        a = Fraction(v) if "/" in v else int(v)
+        try:
+            a = Fraction(v) if "/" in v else int(v)
+        except ZeroDivisionError:
+            raise ValueError(f"bad atom literal {v!r}") from None
     elif isinstance(v, int):
         a = v
     else:

@@ -177,7 +177,9 @@ def validate(ra: RegisterAutomaton) -> ValidationReport:
             elif ar != len(lit.args):
                 errors.append(f"{where}: relation {lit.relation!r} expects {ar} arguments")
             for ref in lit.args:
-                if isinstance(ref, Reg) and ref.atom not in src_supp:
+                if not isinstance(ref, (InputRef, Reg)):
+                    errors.append(f"{where}: guard argument {ref!r} is neither INPUT nor a register")
+                elif isinstance(ref, Reg) and ref.atom not in src_supp:
                     errors.append(f"{where}: guard uses register {ref.atom!r} outside the source support")
         assigned = [a for a, _ in t.assign]
         if Support.of(assigned) != tgt_supp or len(assigned) != len(tgt_supp):
@@ -186,7 +188,9 @@ def validate(ra: RegisterAutomaton) -> ValidationReport:
         if len(set(refs)) != len(refs):
             errors.append(f"{where}: assignment is not injective")
         for r in refs:
-            if isinstance(r, Reg) and r.atom not in src_supp:
+            if not isinstance(r, (InputRef, Reg)):
+                errors.append(f"{where}: assignment source {r!r} is neither INPUT nor a register")
+            elif isinstance(r, Reg) and r.atom not in src_supp:
                 errors.append(f"{where}: assignment reads register {r.atom!r} outside the source support")
     return ValidationReport(tuple(errors))
 
@@ -370,8 +374,6 @@ class PfSubsets:
     finality flags join by max, successor sets by union.
     """
 
-    name = "pf"
-
     @staticmethod
     def unit(q):
         return frozenset([q])
@@ -388,13 +390,6 @@ class PfSubsets:
 
 class ExtConfigs:
     """Free-nominal side effects: determinization lands on configurations."""
-
-    name = "ext"
-
-    @staticmethod
-    def unit(ra: RegisterAutomaton, q) -> Config:
-        supp = ra.locations.support(q)
-        return Config(q, RestrictedMap(ra.sym, FiniteMap.of({a: a for a in supp})))
 
 
 @dataclass

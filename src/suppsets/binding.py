@@ -240,10 +240,9 @@ def to_debruijn(t):
     return _fold(t, _NAMED, lambda a, i, d: Idx(i), DbApp, lambda _, body: DbLam(body))
 
 
-def db_free_indices(t, depth: int = 0) -> Support:
+def db_free_indices(t) -> Support:
     """Ambient atoms referenced by a de Bruijn term (indices shifted back)."""
-    free = _fold(t, _DB, lambda n, _, d: {n - d - depth} if n - d >= depth else set(), _union,
-                 lambda _, body: body)
+    free = _fold(t, _DB, lambda n, _, d: {n - d} if n >= d else set(), _union, lambda _, body: body)
     return Support.of(free)
 
 

@@ -214,10 +214,8 @@ def suite_atoms(rng: Random, n: int) -> SuiteResult:
                 res.check(A.apply(w, a) == b, f"order witness moved {a} to {A.apply(w, a)}, wanted {b}")
             g, h, k = (random_global(rng, sym, pool) for _ in range(3))
             sample = tuple(pool) + (a,)
-            assoc = all(
-                A.apply(A.compose(A.compose(g, h), k), x) == A.apply(A.compose(g, A.compose(h, k)), x)
-                for x in sample
-            )
+            left, right = A.compose(A.compose(g, h), k), A.compose(g, A.compose(h, k))
+            assoc = all(A.apply(left, x) == A.apply(right, x) for x in sample)
             res.check(assoc, f"compose associativity ({sym.value})")
             p = random_admissible(rng, sym, random_support(rng, sym, pool, 3), pool)
             gg = A.extend_to_global(sym, p)
@@ -380,75 +378,43 @@ def suite_automata(rng: Random, n: int) -> SuiteResult:
     return res
 
 
+def _first_letter_automaton(sym, r, relation: str, args: tuple) -> RA.RegisterAutomaton:
+    """Stores the first letter in register `r`, then accepts once the literal
+    `relation(*args)` holds; `args` are `RA.INPUT` and `RA.Reg(r)`."""
+    locs = SS.SuppSet.of([("q0", ()), ("q1", (r,)), ("qa", ())])
+    t = (
+        RA.make_transition("q0", RA.TRUE_GUARD, "q1", {r: RA.INPUT}),
+        RA.make_transition("q1", RA.Guard((RA.Literal(True, relation, args),)), "qa", {}),
+        RA.make_transition("q1", RA.Guard((RA.Literal(False, relation, args),)), "q1", {r: RA.Reg(r)}),
+        RA.make_transition("qa", RA.TRUE_GUARD, "qa", {}),
+    )
+    return RA.RegisterAutomaton(sym, locs, "q0", frozenset(["qa"]), t)
+
+
 def first_repeat_automaton() -> RA.RegisterAutomaton:
     """Accepts words in which some letter after the first equals the first."""
-    eq = A.SymmetryId.EQUALITY
-    locs = SS.SuppSet.of([("q0", ()), ("q1", (0,)), ("qa", ())])
-    t = [
-        RA.make_transition("q0", RA.TRUE_GUARD, "q1", {0: RA.INPUT}),
-        RA.make_transition(
-            "q1",
-            RA.Guard((RA.Literal(True, "eq", (RA.INPUT, RA.Reg(0))),)),
-            "qa",
-            {},
-        ),
-        RA.make_transition(
-            "q1",
-            RA.Guard((RA.Literal(False, "eq", (RA.INPUT, RA.Reg(0))),)),
-            "q1",
-            {0: RA.Reg(0)},
-        ),
-        RA.make_transition("qa", RA.TRUE_GUARD, "qa", {}),
-    ]
-    return RA.RegisterAutomaton(eq, locs, "q0", frozenset(["qa"]), tuple(t))
+    return _first_letter_automaton(A.SymmetryId.EQUALITY, 0, "eq", (RA.INPUT, RA.Reg(0)))
 
 
 def ascent_automaton() -> RA.RegisterAutomaton:
     """Accepts words in which some letter after the first exceeds the first."""
-    ordsym = A.SymmetryId.TOTAL_ORDER
-    locs = SS.SuppSet.of([("q0", ()), ("q1", (Fraction(0),)), ("qa", ())])
-    t = [
-        RA.make_transition("q0", RA.TRUE_GUARD, "q1", {Fraction(0): RA.INPUT}),
-        RA.make_transition(
-            "q1",
-            RA.Guard((RA.Literal(True, "lt", (RA.Reg(Fraction(0)), RA.INPUT)),)),
-            "qa",
-            {},
-        ),
-        RA.make_transition(
-            "q1",
-            RA.Guard((RA.Literal(False, "lt", (RA.Reg(Fraction(0)), RA.INPUT)),)),
-            "q1",
-            {Fraction(0): RA.Reg(Fraction(0))},
-        ),
-        RA.make_transition("qa", RA.TRUE_GUARD, "qa", {}),
-    ]
-    return RA.RegisterAutomaton(ordsym, locs, "q0", frozenset(["qa"]), tuple(t))
+    r = Fraction(0)
+    return _first_letter_automaton(A.SymmetryId.TOTAL_ORDER, r, "lt", (RA.Reg(r), RA.INPUT))
 
 
-SUITES = (
-    suite_atoms,
-    suite_supported,
-    suite_freenom,
-    suite_presentations,
-    suite_binding,
-    suite_automata,
+SUITES = (  # (suite, trials per unit of budget)
+    (suite_atoms, 40),
+    (suite_supported, 25),
+    (suite_freenom, 40),
+    (suite_presentations, 10),
+    (suite_binding, 40),
+    (suite_automata, 30),
 )
-
-_DEFAULT_TRIALS = {
-    "suite_atoms": 40,
-    "suite_supported": 25,
-    "suite_freenom": 40,
-    "suite_presentations": 10,
-    "suite_binding": 40,
-    "suite_automata": 30,
-}
 
 
 def run_all(seed: int = 0, budget: int = 1) -> Report:
     suites = []
     if budget > 0:
-        for fn in SUITES:
-            rng = Random(f"{seed}:{fn.__name__}")
-            suites.append(fn(rng, _DEFAULT_TRIALS[fn.__name__] * budget))
+        for fn, trials in SUITES:
+            suites.append(fn(Random(f"{seed}:{fn.__name__}"), trials * budget))
     return Report(seed, budget, suites)

@@ -30,11 +30,10 @@ from .binding import (
     debruijn_to_json,
     TermSyntaxError,
 )
-from .checks import run_all
+from .checks import pool_atoms, run_all
 from .freenom import ext_elem_from_json
 from .presentations import (
     AtomPool,
-    PoolError,
     default_pool,
     element_count,
     orbit_count,
@@ -54,7 +53,7 @@ def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # json recurses per nesting level
         raise CliError([f"{path}: {exc}"])
 
 
@@ -79,7 +78,11 @@ def _load_automaton(path: str):
 
 
 def _load_elem(text: str, sym: SymmetryId):
-    return _from_json(f"element {text}", ext_elem_from_json, json.loads(text), sym)
+    try:
+        doc = json.loads(text)
+    except RecursionError as exc:
+        raise CliError([f"element: {exc}"])
+    return _from_json(f"element {text}", ext_elem_from_json, doc, sym)
 
 
 def _load_word(path: str, sym: SymmetryId) -> list:
@@ -96,10 +99,6 @@ def _emit(args, text: str, payload: dict):
         print(json.dumps(payload, sort_keys=True) if args.format == "json" else text)
     except RecursionError:  # json.dumps recurses into a deeply nested payload
         raise CliError(["the result nests too deep for --format json; use --format text"])
-
-
-def _pool_of_size(sym: SymmetryId, n: int) -> Support:
-    return Support.of(fresh_atoms(sym, Support(), n))
 
 
 def _cmd_validate(args) -> int:
@@ -132,7 +131,7 @@ def _cmd_orbits(args) -> int:
     ra = _load_automaton(args.automaton)
     default_n = max((len(s) for _, s in ra.locations.items), default=0) + 2
     n = max(args.pool or 0, default_n)
-    summary = reachable_orbits(ra, _pool_of_size(ra.sym, n), args.depth)
+    summary = reachable_orbits(ra, pool_atoms(ra.sym, n), args.depth)
     text = ", ".join(f"{loc}: {k}" for loc, k in summary.per_location)
     _emit(
         args,
@@ -183,46 +182,40 @@ def _quot_pool(P, reps, requested: int) -> AtomPool:
 
 def _cmd_quot(args) -> int:
     P = _from_json(args.presentation, presentation_from_json, _load_json(args.presentation))
-    try:
-        if args.quot_op in ("count", "orbits"):
-            n = len(default_pool(P)) if args.pool is None else args.pool
-            pool = AtomPool(_pool_of_size(P.sym, n))
-            if args.quot_op == "count":
-                value = element_count(P, pool)
-                _emit(args, str(value), {"command": "quot.count", "count": value, "pool_size": n})
-            else:
-                value = orbit_count(P, pool)
-                _emit(args, str(value), {"command": "quot.orbits", "orbits": value, "pool_size": n})
-            return 0
-        if args.quot_op == "supp":
-            e = _load_elem(args.elem, P.sym)
-            pool = _quot_pool(P, [e], args.pool)
-            s = supp_of(P, e, pool)
-            _emit(
-                args,
-                " ".join(str(a) for a in s) if len(s) else "(empty)",
-                {"command": "quot.supp", "support": support_to_json(s), "pool_size": len(pool)},
-            )
-            return 0
-        e1, e2 = _load_elem(args.elem, P.sym), _load_elem(args.elem2, P.sym)
-        pool = _quot_pool(P, [e1, e2], args.pool)
-        equal = quot_eq(P, e1, e2, pool)
+    if args.quot_op in ("count", "orbits"):
+        n = len(default_pool(P)) if args.pool is None else args.pool
+        pool = AtomPool(pool_atoms(P.sym, n))
+        if args.quot_op == "count":
+            value = element_count(P, pool)
+            _emit(args, str(value), {"command": "quot.count", "count": value, "pool_size": n})
+        else:
+            value = orbit_count(P, pool)
+            _emit(args, str(value), {"command": "quot.orbits", "orbits": value, "pool_size": n})
+        return 0
+    if args.quot_op == "supp":
+        e = _load_elem(args.elem, P.sym)
+        pool = _quot_pool(P, [e], args.pool)
+        s = supp_of(P, e, pool)
         _emit(
             args,
-            "equal" if equal else "distinct",
-            {"command": "quot.eq", "equal": equal, "pool_size": len(pool)},
+            " ".join(str(a) for a in s) if len(s) else "(empty)",
+            {"command": "quot.supp", "support": support_to_json(s), "pool_size": len(pool)},
         )
-        return 0 if equal else 1
-    except (PoolError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise CliError([str(exc)])
+        return 0
+    e1, e2 = _load_elem(args.elem, P.sym), _load_elem(args.elem2, P.sym)
+    pool = _quot_pool(P, [e1, e2], args.pool)
+    equal = quot_eq(P, e1, e2, pool)
+    _emit(
+        args,
+        "equal" if equal else "distinct",
+        {"command": "quot.eq", "equal": equal, "pool_size": len(pool)},
+    )
+    return 0 if equal else 1
 
 
 def _cmd_selfcheck(args) -> int:
     report = run_all(seed=args.seed, budget=args.budget)
-    if args.format == "json":
-        print(json.dumps(report.to_json(), sort_keys=True))
-    else:
-        print(report.to_text())
+    _emit(args, report.to_text(), report.to_json())
     return 0 if report.ok else 1
 
 

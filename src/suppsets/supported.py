@@ -73,9 +73,6 @@ class SuppSet:
         return ufs_support(s for _, s in self.items)
 
 
-EMPTY_SET = SuppSet()
-
-
 def unit_set(support=EMPTY_SUPPORT) -> SuppSet:
     """A singleton supported set; empty support unless told otherwise."""
     return SuppSet(((0, support),))

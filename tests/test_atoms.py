@@ -18,6 +18,7 @@ from suppsets.atoms import (
     extend_to_global_alternate,
     finite_perm,
     fresh,
+    fresh_atoms,
     global_map_from_json,
     global_map_to_json,
     identity,
@@ -195,6 +196,9 @@ class TestCheckAtom:
         with pytest.raises(ValueError, match=r"^Fraction\(1, 2\) is not a natural-number atom \(equality\)$"):
             atom_from_json("1/2", EQ)
         assert atom_from_json("1/2", ORD) == Fraction(1, 2)
+        for sym in (None, EQ, ORD):
+            with pytest.raises(ValueError, match=r"^bad atom literal '1/0'$"):
+                atom_from_json("1/0", sym)
         assert apply(identity(ORD), Fraction(1, 2)) == Fraction(1, 2)
         assert is_admissible(ORD, FiniteMap(((0, Fraction(1, 2)), (1, 3))))
 
@@ -282,6 +286,36 @@ class TestFresh:
         avoid = Support.of([Fraction(-1), Fraction(5, 2)])
         a = fresh(ORD, avoid)
         assert a == Fraction(7, 2) and a not in avoid
+
+
+def _fresh_one_at_a_time(sym, avoid, count):
+    """The oracle for `fresh_atoms`: `count` calls of `fresh`, each avoiding
+    the atoms picked before it."""
+    out = []
+    for _ in range(count):
+        out.append(fresh(sym, avoid))
+        avoid = avoid.union(Support.of([out[-1]]))
+    return out
+
+
+class TestFreshAtoms:
+    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("sym", [EQ, ORD, RN])
+    def test_agrees_with_one_fresh_at_a_time(self, sym, seed):
+        rng = Random(seed)
+        for count in [*range(-3, 9)] * 3:
+            atoms = [rng.randrange(12) for _ in range(rng.randint(0, 8))]
+            if sym is ORD and rng.random() < 0.5:  # rational avoid sets, negative ones too
+                atoms = [Fraction(rng.randrange(-20, 20), rng.randint(1, 4)) for _ in atoms]
+            avoid = Support.of(atoms)
+            got, want = fresh_atoms(sym, avoid, count), _fresh_one_at_a_time(sym, avoid, count)
+            assert got == want
+            assert [type(a) for a in got] == [type(a) for a in want]
+
+    def test_large_count(self):
+        """Naturals fill the gaps of `avoid`; total-order atoms count up from its maximum."""
+        assert fresh_atoms(EQ, Support.of(range(0, 40000, 2)), 20000) == list(range(1, 40000, 2))
+        assert fresh_atoms(ORD, Support(), 20000)[-1] == Fraction(19999)
 
 
 class TestEqualityBijectivity:

@@ -113,6 +113,17 @@ class TestValidate:
         report = validate(RegisterAutomaton(EQ, locs, "q0", frozenset(), (t,)))
         assert any("target registers" in e for e in report.errors)
 
+    def test_argument_neither_input_nor_register(self):
+        """A bare atom as a guard argument or an assignment source is
+        rejected, once for each; `run` would raise `AttributeError` on it."""
+        locs = SuppSet.of([("q0", Support()), ("q1", Support.of([0]))])
+        t = Transition("q0", Guard((Literal(True, "eq", (INPUT, 3)),)), "q1", ((0, 3),))
+        report = validate(RegisterAutomaton(EQ, locs, "q0", frozenset(), (t,)))
+        assert report.errors == (
+            "transition 0 ('q0' -> 'q1'): guard argument 3 is neither INPUT nor a register",
+            "transition 0 ('q0' -> 'q1'): assignment source 3 is neither INPUT nor a register",
+        )
+
 
 @st.composite
 def small_automata(draw):
@@ -503,10 +514,12 @@ class TestJson:
             assert automaton_to_json(again) == automaton_to_json(ra)
 
     def test_shipped_equals_builtin(self):
-        doc = json.loads((DATA / "first_repeat.json").read_text())
-        ra = automaton_from_json(doc)
-        built = first_repeat_automaton()
-        assert automaton_to_json(ra) == automaton_to_json(built)
+        for name, build in (("first_repeat.json", first_repeat_automaton),
+                            ("ascent_after_first.json", ascent_automaton)):
+            doc = json.loads((DATA / name).read_text())
+            ra = automaton_from_json(doc)
+            built = build()
+            assert automaton_to_json(ra) == automaton_to_json(built)
 
 
 class TestLettersCheckedAtTheBoundary:

@@ -158,6 +158,9 @@ class TestQuot:
         code, _, _ = run_cli(capsys, "quot", "supp", PAIRS, "{nope")
         assert code == 2
 
+    def test_orbits_over_a_large_pool(self, capsys):
+        assert run_cli(capsys, "quot", "orbits", PAIRS, "--pool", "20000") == (0, "1", "")
+
 
 class TestMalformedShapes:
     """A JSON value of the wrong type is an input error naming its source."""
@@ -207,7 +210,7 @@ def _replaced(doc, path, value):
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 6)
-    | st.sampled_from(["", "g", "q0", "q1", "input", "eq", "1/2", "equality", "total-order"]),
+    | st.sampled_from(["", "g", "q0", "q1", "input", "eq", "1/2", "1/0", "equality", "total-order"]),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.sampled_from(["id", "support", "elements", "reg", "pi", "base", "0", "1"]),
                       inner, max_size=3),
@@ -248,6 +251,65 @@ class TestContractFuzz:
         assert code in (0, 1, 2)
         payload = json.loads(out.getvalue())
         assert code != 2 or payload["errors"]
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000  # deeper than the JSON parser's recursion allows
+ZERO_ELEM = '{"pi": {"0": "1/0", "1": 1}, "base": "g"}'
+PAIR_TEXT = json.dumps(PAIR_ELEM)
+FILE = object()  # placeholder: the malformed input file
+FORMATS = pytest.mark.parametrize("fmt", [(), ("--format", "json")], ids=["text", "json"])
+
+
+class TestMalformedInputs:
+    """JSON nested deeper than the parser allows and an atom with a zero
+    denominator are input errors: exit 2, an error list under --format json,
+    no traceback."""
+
+    def check(self, capsys, fmt, argv):
+        code, out, err = run_cli(capsys, *fmt, *argv)
+        assert code == 2 and "Traceback" not in err
+        if fmt:
+            assert json.loads(out)["errors"]
+        else:
+            assert err.startswith("error: ")
+
+    @FORMATS
+    @pytest.mark.parametrize("argv", [
+        ("validate", FILE), ("run", FILE, str(DATA / "word_repeat.txt")), ("orbits", FILE),
+        ("quot", "count", FILE), ("quot", "orbits", FILE), ("quot", "supp", FILE, PAIR_TEXT),
+        ("quot", "eq", FILE, PAIR_TEXT, PAIR_TEXT),
+    ])
+    def test_deep_file(self, capsys, tmp_path, fmt, argv):
+        deep = tmp_path / "deep.json"
+        deep.write_text(DEEP_JSON)
+        self.check(capsys, fmt, [str(deep) if a is FILE else a for a in argv])
+
+    @FORMATS
+    @pytest.mark.parametrize("argv", [
+        ("quot", "supp", PAIRS, DEEP_JSON), ("quot", "eq", PAIRS, PAIR_TEXT, DEEP_JSON),
+        ("quot", "supp", PAIRS, ZERO_ELEM), ("quot", "eq", PAIRS, ZERO_ELEM, PAIR_TEXT),
+    ])
+    def test_inline_element(self, capsys, fmt, argv):
+        self.check(capsys, fmt, argv)
+
+    @FORMATS
+    def test_zero_denominator_letter(self, capsys, tmp_path, fmt):
+        word = tmp_path / "zero.txt"
+        word.write_text("1/0\n")
+        self.check(capsys, fmt, ["run", ASCENT, str(word)])
+
+    @FORMATS
+    @pytest.mark.parametrize("source, argv", [
+        ("ascent_after_first.json", ("validate", FILE)), ("ascent_after_first.json", ("orbits", FILE)),
+        ("unordered_pairs.json", ("quot", "count", FILE)),
+    ])
+    def test_zero_denominator_support_entry(self, capsys, tmp_path, fmt, source, argv):
+        doc = json.loads((DATA / source).read_text())
+        where = doc["locations"] if "locations" in doc else doc["generators"]
+        where["elements"][-1]["support"] = ["1/0"]
+        bad = tmp_path / "zero.json"
+        bad.write_text(json.dumps(doc))
+        self.check(capsys, fmt, [str(bad) if a is FILE else a for a in argv])
 
 
 class TestSizeFlags:
