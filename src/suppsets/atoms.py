@@ -165,6 +165,22 @@ def is_admissible(sym: SymmetryId, p: FiniteMap) -> bool:
     return all(x < y for x, y in zip(values, values[1:]))
 
 
+def order_type(values: list) -> tuple:
+    """Dense ranks of `values`, equal values sharing one, and the value at
+    each rank (the first of equal values, as `2` and `Fraction(2)` are).
+    Only `<` is used, never hashing: a `Fraction` computes its hash afresh
+    on every call, at about the cost of a comparison."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0] * len(values)
+    at_rank = [values[order[0]]] if values else []
+    for i in order[1:]:
+        v = values[i]
+        if at_rank[-1] < v:
+            at_rank.append(v)
+        ranks[i] = len(at_rank) - 1
+    return ranks, at_rank
+
+
 # --- piecewise-linear machinery (total-order symmetry) ---
 
 def _pwl_apply(entries: tuple, x: Atom) -> Atom:

@@ -34,6 +34,7 @@ from .atoms import (
     atom_to_json,
     check_atom,
     is_admissible,
+    order_type,
 )
 from .binding import b_support  # unused here; the benchmark's trace.IMPORT_POINTS wraps it
 from .freenom import RestrictedMap
@@ -185,7 +186,7 @@ def validate(ra: RegisterAutomaton) -> ValidationReport:
         if Support.of(assigned) != tgt_supp or len(assigned) != len(tgt_supp):
             errors.append(f"{where}: assignment must cover the target registers exactly")
         refs = [r for _, r in t.assign]
-        if len(set(refs)) != len(refs):
+        if any(refs.count(r) > 1 for r in refs):  # by `==`: a bad source need not hash
             errors.append(f"{where}: assignment is not injective")
         for r in refs:
             if not isinstance(r, (InputRef, Reg)):
@@ -271,22 +272,6 @@ def _configs(ra: RegisterAutomaton, keys) -> tuple:
                  for loc, regs, vals in sorted(keys, key=_config_key))
 
 
-def _order_type(values: list) -> tuple:
-    """Dense ranks of `values`, equal values sharing one, and the value at
-    each rank (the first of equal values, as `2` and `Fraction(2)` are).
-    Only `<` is used, never hashing: a `Fraction` computes its hash afresh
-    on every call, at about the cost of a comparison."""
-    order = sorted(range(len(values)), key=values.__getitem__)
-    ranks = [0] * len(values)
-    at_rank = [values[order[0]]]
-    for i in order[1:]:
-        v = values[i]
-        if at_rank[-1] < v:
-            at_rank.append(v)
-        ranks[i] = len(at_rank) - 1
-    return ranks, at_rank
-
-
 def _orbit_step(ra: RegisterAutomaton, loc, regs: tuple, ranks: list) -> tuple:
     """The kept successors of the order type `ranks` (register values, then
     the input) at `loc`, as `(target, registers, value ranks)` templates.
@@ -312,7 +297,7 @@ def _successors(ra: RegisterAutomaton, keys, letters: tuple, memo: dict) -> list
     out = []
     for loc, regs, vals in keys:
         for a in letters:
-            ranks, at_rank = _order_type([*vals, a])
+            ranks, at_rank = order_type([*vals, a])
             mkey = (loc, regs, tuple(ranks))
             succs = memo.get(mkey)
             if succs is None:

@@ -1,23 +1,32 @@
 """Orbit-finite quotients presented by generators and equations.
 
 A presentation is a finite supported set of generators plus finitely many
-equations between extension elements over them.  Equality in the quotient
-is decided over a bounded atom pool: every equation is instantiated along
-every admissible reassignment of its atoms into the pool, and the
-resulting pairs are closed into an equivalence over the pool-bounded
-extension.  Two closure engines are kept deliberately separate -- a
-union-find and a naive fixpoint sweep -- so each can serve as the other's
-oracle.  Orbit counts need no closure: they follow from the generators and
-equations that fit in the pool, with the enumerating count kept as their
-oracle.
+equations between extension elements over them.  The presented congruence
+is the least equivariant equivalence containing the equations.  Under a
+group symmetry it is a finite set of pair orbits, so `quot_eq` is exact:
+each presentation saturates its equation orbits under swap and composition
+once, and a query looks up one canonical pair.  Element counts, least
+supports and every renaming query are decided over a bounded atom pool:
+every equation is instantiated along every admissible reassignment of its
+atoms into the pool, and the resulting pairs are closed into an
+equivalence over the pool-bounded extension.  Two closure engines are kept
+deliberately separate -- a union-find and a naive fixpoint sweep -- so each
+can serve as the other's oracle, and both as one-sided oracles of the
+saturation.  Orbit counts need no closure: they follow from the generators
+and equations that fit in the pool, with the enumerating count kept as
+their oracle.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import product
 
-from .atoms import EMPTY_SUPPORT, GlobalMap, Support, SymmetryId, fresh, fresh_atoms
+from .atoms import EMPTY_SUPPORT, GlobalMap, Support, SymmetryId, fresh, fresh_atoms, order_type
 from .freenom import (
     ExtElem,
     act,
@@ -46,6 +55,12 @@ class FinPresentation:
     def max_generator_support(self) -> int:
         return max((len(s) for _, s in self.generators.items), default=0)
 
+    @cached_property
+    def pair_orbits(self) -> frozenset:
+        """The congruence's pair orbits off the diagonal (group symmetries
+        only), saturated on first use and kept."""
+        return _saturate(self)
+
 
 @dataclass(eq=False)
 class QuotElem:
@@ -59,6 +74,9 @@ class QuotElem:
     rep: ExtElem
 
     def same_class(self, other: "QuotElem", pool: "AtomPool" = None) -> bool:
+        """Exact under a group symmetry, where the pool (by default
+        `default_pool` of the two representatives) only has to cover
+        them; decided over the pool under renaming."""
         if self.presentation != other.presentation:
             return False
         pool = pool or default_pool(self.presentation, [self.rep, other.rep])
@@ -125,11 +143,99 @@ def _require_in_pool(P: FinPresentation, e: ExtElem, pool: AtomPool):
 
 
 def quot_eq(P: FinPresentation, e1: ExtElem, e2: ExtElem, pool: AtomPool) -> bool:
-    """Class equality of two extension elements over the pool."""
+    """Class equality of two extension elements.  Under a group symmetry it
+    is exact: the pool must cover both supports, and the answer is one
+    lookup in `P.pair_orbits`.  Under renaming it is decided over the pool."""
     _require_in_pool(P, e1, pool)
     _require_in_pool(P, e2, pool)
+    if P.sym.is_group:
+        return e1 == e2 or _pair_key(P.sym, e1, e2) in P.pair_orbits
     _, labels = quot_classes(P, pool)
     return labels[_ext_key(e1)] == labels[_ext_key(e2)]
+
+
+# --- pair orbits ---
+#
+# Under a group symmetry the orbit of a pair (e1, e2) of extension elements
+# is fixed by the two bases and the pattern of the atoms of e1 then e2:
+# each atom is named by its first occurrence (equality) or by its rank
+# (total order).  A key is `(base1, pattern1, base2, pattern2)`, and its
+# names are 0..m-1, so a key is also a representative of its orbit.
+
+def _orbit_key(sym: SymmetryId, x1, atoms1: list, x2, atoms2: list) -> tuple:
+    atoms = [*atoms1, *atoms2]
+    if sym is SymmetryId.TOTAL_ORDER:
+        names = order_type(atoms)[0]
+    else:
+        first = {}
+        names = [first.setdefault(a, len(first)) for a in atoms]
+    k = len(atoms1)
+    return x1, tuple(names[:k]), x2, tuple(names[k:])
+
+
+def _pair_key(sym: SymmetryId, e1: ExtElem, e2: ExtElem) -> tuple:
+    return _orbit_key(sym, e1.base, [b for _, b in e1.pi.images.entries],
+                      e2.base, [b for _, b in e2.pi.images.entries])
+
+
+def _compose(sym: SymmetryId, o1: tuple, o2: tuple):
+    """The orbits of the pairs (a, c) with (a, b) in `o1` and (b, c) in
+    `o2`; `o1`'s second base is `o2`'s first.  `o2`'s names for b's atoms
+    are renamed to `o1`'s by generator position.  Each of c's other atoms
+    either meets one of a's atoms outside b or is new.  Under equality any
+    injective choice will do.  Under total order an atom stays in its gap
+    between b's atoms, and c's atoms keep their order: o1's name n sits at
+    `(2n, 0)`, and c's atom `j` new just above it at `(2n + 1, j)`."""
+    x, p, _, q = o1
+    _, q2, z, r = o2
+    m = 1 + max((*p, *q), default=-1)
+    at = dict(zip(q2, q))
+    cs = [j for j in r if j not in at]
+    if sym is SymmetryId.TOTAL_ORDER:
+        at = {j: (2 * n, 0) for j, n in at.items()}
+        p = [(2 * n, 0) for n in p]
+
+        def choices(j):
+            g = bisect_left(q2, j)
+            lo, hi = q[g - 1] if g else -1, q[g] if g < len(q) else m
+            return [(2 * lo + 1, j)] + [v for n in range(lo + 1, hi) for v in ((2 * n, 0), (2 * n + 1, j))]
+
+        fits = lambda vs: all(u < v for u, v in zip(vs, vs[1:]))
+    else:
+        outside_b = sorted(set(p).difference(q))
+        choices = lambda j: [*outside_b, m + j]
+        fits = lambda vs: len(set(vs)) == len(vs)
+    for vs in product(*map(choices, cs)):
+        if fits(vs):
+            place = {**at, **dict(zip(cs, vs))}
+            yield _orbit_key(sym, x, p, z, [place[j] for j in r])
+
+
+def _saturate(P: FinPresentation) -> frozenset:
+    """Every pair orbit (a, c) joined by a chain of equation instances:
+    the equation orbits and their swaps are the steps, and each orbit
+    reached is composed with every step that starts at its second base.
+    Diagonal orbits add nothing and are not kept."""
+    if not P.sym.is_group:
+        raise ValueError("pair orbits are saturated for the group symmetries only")
+    seen, todo, steps = set(), [], defaultdict(list)
+
+    def add(k):
+        if k not in seen and (k[0], k[1]) != (k[2], k[3]):
+            seen.add(k)
+            todo.append(k)
+
+    for lhs, rhs in P.equations:
+        add(_pair_key(P.sym, lhs, rhs))
+        add(_pair_key(P.sym, rhs, lhs))
+    for k in todo:
+        steps[k[0]].append(k)
+    while todo:
+        o = todo.pop()
+        for step in steps[o[2]]:
+            for k in _compose(P.sym, o, step):
+                add(k)
+    return frozenset(seen)
 
 
 def quot_eq_fixpoint(P: FinPresentation, e1: ExtElem, e2: ExtElem, pool: AtomPool) -> bool:

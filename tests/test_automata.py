@@ -124,6 +124,16 @@ class TestValidate:
             "transition 0 ('q0' -> 'q1'): assignment source 3 is neither INPUT nor a register",
         )
 
+    def test_unhashable_assignment_source(self):
+        """An unhashable source is reported like any other bad source; the
+        injectivity test compares sources by `==` and never hashes them."""
+        locs = SuppSet.of([("q0", Support()), ("q1", Support.of([0]))])
+        t = Transition("q0", TRUE_GUARD, "q1", ((0, [3]),))
+        report = validate(RegisterAutomaton(EQ, locs, "q0", frozenset(), (t,)))
+        assert report.errors == (
+            "transition 0 ('q0' -> 'q1'): assignment source [3] is neither INPUT nor a register",
+        )
+
 
 @st.composite
 def small_automata(draw):

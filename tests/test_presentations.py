@@ -9,6 +9,7 @@ from suppsets.atoms import (
     Support,
     SymmetryId,
     fresh,
+    fresh_atoms,
     transposition,
 )
 from suppsets.freenom import ExtElem, RestrictedMap, ext_enumerate, ext_support
@@ -105,6 +106,60 @@ class TestQuotEq:
                 relem(EQ, {0: 0, 1: 1}, "g"),
                 AtomPool(Support.of([0, 1, 2])),
             )
+
+
+def ext_key(e):
+    return (e.pi.images.entries, e.base)
+
+
+def pool_verdict(P, e1, e2, pool):
+    """Class equality over the pool, read off the union-find closure."""
+    _, labels = quot_classes(P, pool)
+    return labels[ext_key(e1)] == labels[ext_key(e2)]
+
+
+class TestExactQuotEq:
+    """Under total order a chain of equations can join two elements only
+    through atoms outside any given pool: `quot_eq` says equal, and the
+    closure over the pool says distinct."""
+
+    @staticmethod
+    def check(P, e1, e2, pool):
+        assert quot_eq(P, e1, e2, pool)
+        assert quot_eq(P, e2, e1, pool)
+        assert not pool_verdict(P, e1, e2, pool)
+
+    def test_selfcheck_seed_51(self):
+        gens = SuppSet.of([("g0", Support()), ("g1", Support.of([0, 2]))])
+        eqs = (
+            (relem(ORD, {0: 1, 2: 2}, "g1"), relem(ORD, {0: 0, 2: 1}, "g1")),
+            (relem(ORD, {0: 0, 2: 1}, "g1"), relem(ORD, {0: 0, 2: 1}, "g1")),
+        )
+        P = FinPresentation(ORD, gens, eqs)
+        self.check(P, relem(ORD, {0: 0, 2: 5}, "g1"), relem(ORD, {0: 2, 2: 3}, "g1"),
+                   AtomPool(Support.of(range(6))))
+
+    def test_selfcheck_seed_55(self):
+        gens = SuppSet.of({"g0": Support.of([1, 2])})
+        eqs = ((relem(ORD, {1: 1, 2: 2}, "g0"), relem(ORD, {1: 0, 2: 1}, "g0")),)
+        P = FinPresentation(ORD, gens, eqs)
+        self.check(P, relem(ORD, {1: 3, 2: 5}, "g0"), relem(ORD, {1: 0, 2: 5}, "g0"),
+                   AtomPool(Support.of(range(6))))
+
+    @pytest.mark.parametrize("n", (3, 4, 5, 6))
+    def test_chain(self, chain, n):
+        self.check(chain, relem(ORD, {0: 0, 1: n - 1}, "g0"), relem(ORD, {0: 1, 1: 2}, "g0"),
+                   AtomPool(Support.of(range(n))))
+
+    def test_renaming_stays_on_the_pool(self):
+        sym = SymmetryId.RENAMING
+        gens = SuppSet.of({"g": Support.of([0, 1])})
+        P = FinPresentation(sym, gens, ((relem(sym, {0: 1, 1: 0}, "g"), relem(sym, {0: 0, 1: 1}, "g")),))
+        pool = AtomPool(Support.of(range(3)))
+        e1, e2 = relem(sym, {0: 2, 1: 1}, "g"), relem(sym, {0: 1, 1: 2}, "g")
+        assert quot_eq(P, e1, e2, pool) == pool_verdict(P, e1, e2, pool) is True
+        with pytest.raises(ValueError):
+            P.pair_orbits
 
 
 class TestCounts:
@@ -227,7 +282,37 @@ class TestOracleAgreement:
         universe = ext_enumerate(sym, P.generators, pool.atoms)
         for e1 in universe[:6]:
             for e2 in universe[:6]:
-                assert quot_eq(P, e1, e2, pool) == quot_eq_fixpoint(P, e1, e2, pool)
+                assert pool_verdict(P, e1, e2, pool) == quot_eq_fixpoint(P, e1, e2, pool)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_exact_matches_fixpoint_under_equality(self, seed):
+        """Under equality the closure over the two supports plus 2k fresh
+        atoms, k the largest generator support, decides class equality."""
+        rng = Random(f"exact:{seed}")
+        P = random_presentation(rng, EQ, pool_atoms(EQ, 3))
+        pool = default_pool(P)
+        universe = ext_enumerate(EQ, P.generators, pool.atoms)
+        spare = 2 * P.max_generator_support()
+        for e1 in universe[:7]:
+            for e2 in universe[:7]:
+                base = ext_support(e1).union(ext_support(e2))
+                widened = AtomPool(base.union(Support.of(fresh_atoms(EQ, base, spare))))
+                assert quot_eq(P, e1, e2, pool) == quot_eq_fixpoint(P, e1, e2, widened)
+
+    @pytest.mark.parametrize("sym", (EQ, ORD))
+    @pytest.mark.parametrize("seed", range(20))
+    def test_pool_equal_implies_exact_equal(self, sym, seed):
+        """One-sided: a pool sees only some of the congruence's instances,
+        and under total order no finite pool sees them all."""
+        rng = Random(f"one-sided:{seed}")
+        P = random_presentation(rng, sym, pool_atoms(sym, 3))
+        pool = default_pool(P)
+        universe = ext_enumerate(sym, P.generators, pool.atoms)
+        _, labels = quot_classes(P, pool)
+        for e1 in universe[:8]:
+            for e2 in universe[:8]:
+                if labels[ext_key(e1)] == labels[ext_key(e2)]:
+                    assert quot_eq(P, e1, e2, pool)
 
 
 class TestPoolStability:
