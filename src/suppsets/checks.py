@@ -311,15 +311,18 @@ def suite_presentations(rng: Random, n: int) -> SuiteResult:
             exact = PR.quot_eq(P, e1, e2, pool)
             res.check(exact or not uf_verdict,
                       f"pool-equal but exact-unequal at {e1} ~ {e2} ({sym.value})")
-            bigger = PR.AtomPool(
-                pool.atoms.union(A.Support.of([A.fresh(sym, pool.atoms)]))
-            )
-            res.check(PR.quot_eq(P, e1, e2, bigger) == exact,
-                      f"verdict unstable under pool growth at {e1} ~ {e2}")
             s = PR.supp_of(P, e1, pool)
-            res.check(s.issubset(FN.ext_support(e1)), f"least support {tuple(s)} too big")
+            dom = FN.ext_support(e1)
+            res.check(s.issubset(dom), f"least support {tuple(s)} too big")
+            witness = {a: A.lock_free_witness(sym, dom.minus([a]), a) for a in dom}
+            wide = pool.atoms.union(A.Support.of(A.apply(w, a) for a, w in witness.items()))
+            _, wide_labels = PR.quot_classes(P, PR.AtomPool(wide))
+            for a, w in witness.items():
+                droppable = wide_labels[PR._ext_key(FN.act(w, e1))] == wide_labels[PR._ext_key(e1)]
+                res.check(not (droppable and a in s),
+                          f"pool-droppable atom {a} kept in the least support of {e1} ({sym.value})")
             if not P.equations:
-                res.check(s == FN.ext_support(e1), "free least support should be full")
+                res.check(s == dom, "free least support should be full")
     return res
 
 

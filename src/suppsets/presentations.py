@@ -3,18 +3,18 @@
 A presentation is a finite supported set of generators plus finitely many
 equations between extension elements over them.  The presented congruence
 is the least equivariant equivalence containing the equations.  Under a
-group symmetry it is a finite set of pair orbits, so `quot_eq` is exact:
-each presentation saturates its equation orbits under swap and composition
-once, and a query looks up one canonical pair.  Element counts, least
-supports and every renaming query are decided over a bounded atom pool:
-every equation is instantiated along every admissible reassignment of its
-atoms into the pool, and the resulting pairs are closed into an
-equivalence over the pool-bounded extension.  Two closure engines are kept
-deliberately separate -- a union-find and a naive fixpoint sweep -- so each
-can serve as the other's oracle, and both as one-sided oracles of the
-saturation.  Orbit counts need no closure: they follow from the generators
-and equations that fit in the pool, with the enumerating count kept as
-their oracle.
+group symmetry it is a finite set of pair orbits, which each presentation
+saturates from its equation orbits under swap and composition once, so
+`quot_eq` and `supp_of` are exact: one lookup per pair, or per support
+atom.  Element counts and every renaming query are decided over a bounded
+atom pool: every equation is instantiated along every admissible
+reassignment of its atoms into the pool, and the resulting pairs are
+closed into an equivalence over the pool-bounded extension.  Two closure
+engines are kept deliberately separate -- a union-find and a naive
+fixpoint sweep -- so each can serve as the other's oracle, and both as
+one-sided oracles of the saturation.  Orbit counts need no closure: they
+follow from the generators and equations that fit in the pool, with the
+enumerating count kept as their oracle.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
-from .atoms import EMPTY_SUPPORT, GlobalMap, Support, SymmetryId, fresh, fresh_atoms, order_type
+from .atoms import EMPTY_SUPPORT, GlobalMap, Support, SymmetryId, fresh_atoms, lock_free_witness, order_type
+from .atoms import fresh  # unused here; the benchmark's trace.IMPORT_POINTS wraps it
 from .freenom import (
     ExtElem,
     act,
@@ -134,20 +134,20 @@ def quot_classes(P: FinPresentation, pool: AtomPool):
     return universe, labels
 
 
-def _require_in_pool(P: FinPresentation, e: ExtElem, pool: AtomPool):
-    check_ext_elem(P.generators, e)
-    if not ext_support(e).issubset(pool.atoms):
-        raise PoolError(
-            f"pool {tuple(pool.atoms)} does not cover the support {tuple(ext_support(e))}"
-        )
+def _require_in_pool(P: FinPresentation, pool: AtomPool, *elems: ExtElem):
+    for e in elems:
+        check_ext_elem(P.generators, e)
+        if not ext_support(e).issubset(pool.atoms):
+            raise PoolError(
+                f"pool {tuple(pool.atoms)} does not cover the support {tuple(ext_support(e))}"
+            )
 
 
 def quot_eq(P: FinPresentation, e1: ExtElem, e2: ExtElem, pool: AtomPool) -> bool:
     """Class equality of two extension elements.  Under a group symmetry it
     is exact: the pool must cover both supports, and the answer is one
     lookup in `P.pair_orbits`.  Under renaming it is decided over the pool."""
-    _require_in_pool(P, e1, pool)
-    _require_in_pool(P, e2, pool)
+    _require_in_pool(P, pool, e1, e2)
     if P.sym.is_group:
         return e1 == e2 or _pair_key(P.sym, e1, e2) in P.pair_orbits
     _, labels = quot_classes(P, pool)
@@ -240,8 +240,7 @@ def _saturate(P: FinPresentation) -> frozenset:
 
 def quot_eq_fixpoint(P: FinPresentation, e1: ExtElem, e2: ExtElem, pool: AtomPool) -> bool:
     """Independent oracle: naive reflexive-symmetric-transitive fixpoint sweep."""
-    _require_in_pool(P, e1, pool)
-    _require_in_pool(P, e2, pool)
+    _require_in_pool(P, pool, e1, e2)
     universe = ext_enumerate(P.sym, P.generators, pool.atoms)
     label = {_ext_key(e): i for i, e in enumerate(universe)}
     pairs = [(_ext_key(a), _ext_key(b)) for a, b in _instance_pairs(P, pool.atoms)]
@@ -305,51 +304,24 @@ def orbit_count(P: FinPresentation, pool: AtomPool) -> int:
     return len({uf.find(x) for x in kept})
 
 
-def _witness_targets(sym: SymmetryId, dom: Support, pool: Support) -> Support:
-    """Atoms a pool needs so that each support atom can be moved while the
-    rest stay fixed: one fresh natural, or the order-symmetry midpoints."""
-    if sym is SymmetryId.EQUALITY:
-        return Support.of([fresh(sym, dom.union(pool))])
-    extra = []
-    for a in dom:
-        rest = dom.minus([a])
-        if rest:
-            extra.append(a + Fraction(1, 2) * min(abs(a - x) for x in rest))
-        else:
-            extra.append(a + 1)
-    return Support.of(extra)
-
-
 def supp_of(P: FinPresentation, e: ExtElem, pool: AtomPool) -> Support:
-    """Least subset of the element's support whose pointwise fixation
-    fixes its class, found by greedy removal with full re-verification.
+    """Least support of the element's class, exact; the pool only has to
+    cover the element.
 
-    The pool is enriched with the lock-free witness targets of the
-    element's support atoms; without them no admissible map could move an
-    interior atom of an order-symmetry support while fixing its
-    neighbours, and the result would come out too small.
+    In a nominal set with least supports, an atom `a` of a support `T` is
+    outside the least support exactly when moving `a` alone, with the rest
+    of `T` fixed, keeps the element: under equality the swap of `a` with a
+    fresh atom (Pitts, *Nominal Sets*, CUP 2013, Sec. 3), under total order
+    a move of `a` inside its gap (Bojanczyk, Klin and Lasota, *Automata
+    theory in nominal sets*, LMCS 2014).  So each atom of the element's
+    own support takes one lookup in `P.pair_orbits`.
     """
     if not P.sym.is_group:
         raise ValueError("least supports are computed for the group symmetries only")
-    _require_in_pool(P, e, pool)
+    _require_in_pool(P, pool, e)
     dom = ext_support(e)
-    atoms = pool.atoms.union(_witness_targets(P.sym, dom, pool.atoms))
-    _, labels = quot_classes(P, AtomPool(atoms))
-    target = labels[_ext_key(e)]
-
-    def fixes_class(kept: Support) -> bool:
-        for m in admissible_maps(P.sym, dom, atoms):
-            if all(m(a) == a for a in kept):
-                if labels[_ext_key(act_finite(m, e))] != target:
-                    return False
-        return True
-
-    kept = dom
-    for a in tuple(dom):
-        candidate = kept.minus([a])
-        if fixes_class(candidate):
-            kept = candidate
-    return kept
+    moves = ((a, act(lock_free_witness(P.sym, dom.minus([a]), a), e)) for a in dom)
+    return Support.of(a for a, moved in moves if _pair_key(P.sym, e, moved) not in P.pair_orbits)
 
 
 def act_quot(g: GlobalMap, q: QuotElem) -> QuotElem:

@@ -145,6 +145,21 @@ class TestQuot:
         assert code == 0
         assert json.loads(out) == {"command": "quot.supp", "support": [4, 7], "pool_size": 9}
 
+    def test_supp_is_exact_on_a_chain(self, capsys, tmp_path):
+        """Under total order `(g0,(0,1)) = (g0,(1,2))` joins the whole orbit
+        into one class, so every element has empty least support."""
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps({
+            "symmetry": "total-order",
+            "generators": {"elements": [{"id": "g0", "support": [0, 1]}]},
+            "equations": [[{"pi": {"0": 0, "1": 1}, "base": "g0"}, {"pi": {"0": 1, "1": 2}, "base": "g0"}]],
+        }))
+        e = '{"pi": {"0": 1, "1": 3}, "base": "g0"}'
+        assert run_cli(capsys, "quot", "supp", str(chain), e) == (0, "(empty)", "")
+        code, out, _ = run_cli(capsys, "--format", "json", "quot", "supp", str(chain), e)
+        doc = json.loads(out)
+        assert code == 0 and doc["support"] == [] and doc["pool_size"] >= 2
+
     def test_count_over_an_empty_pool(self, capsys):
         code, out, _ = run_cli(capsys, "quot", "count", PAIRS, "--pool", "0")
         assert (code, out) == (0, "0")

@@ -8,11 +8,21 @@ from suppsets.atoms import (
     FiniteMap,
     Support,
     SymmetryId,
+    apply,
     fresh,
     fresh_atoms,
+    lock_free_witness,
     transposition,
 )
-from suppsets.freenom import ExtElem, RestrictedMap, ext_enumerate, ext_support
+from suppsets.freenom import (
+    ExtElem,
+    RestrictedMap,
+    act,
+    act_finite,
+    admissible_maps,
+    ext_enumerate,
+    ext_support,
+)
 from suppsets.presentations import (
     AtomPool,
     FinPresentation,
@@ -379,8 +389,6 @@ class TestSuppOf:
         if not P.equations:
             assert s == ext_support(e)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the pool-bounded supp_of keeps atom 3; "
-                                           "the exact least support is empty")
     @pytest.mark.parametrize("n", (6, 8, 12, 24))
     def test_chain_support_is_empty(self, chain, n):
         e = relem(ORD, {0: 1, 1: 3}, "g0")
@@ -391,6 +399,57 @@ class TestSuppOf:
         e = relem(ORD, {0: 0, 1: 1, 2: 2}, "g")
         pool = default_pool(P, [e])
         assert supp_of(P, e, pool) == Support.of([0, 1, 2])
+
+
+def closure_supp(P, e):
+    """Per-atom least support read off one closure: an atom is dropped when
+    its lock-free witness keeps the class.  The pool is supp(e), the witness
+    images and 2k fresh atoms, k the largest generator support.  Returns
+    (dropped atoms, pool, labels)."""
+    dom = ext_support(e)
+    witness = {a: lock_free_witness(P.sym, dom.minus([a]), a) for a in dom}
+    base = dom.union(Support.of(apply(w, a) for a, w in witness.items()))
+    pool = AtomPool(base.union(Support.of(fresh_atoms(P.sym, base, 2 * P.max_generator_support()))))
+    _, labels = quot_classes(P, pool)
+    dropped = {a for a, w in witness.items() if labels[ext_key(act(w, e))] == labels[ext_key(e)]}
+    return dropped, pool, labels
+
+
+def supp_deck(sym, seed):
+    """A seeded presentation and up to 10 of its elements."""
+    rng = Random(f"supp:{seed}")
+    P = random_presentation(rng, sym, pool_atoms(sym, 3))
+    universe = ext_enumerate(sym, P.generators, default_pool(P).atoms)
+    return P, rng.sample(universe, min(len(universe), 10))
+
+
+class TestSuppOfOracle:
+    """The exact least support against the pool closure."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equality_matches_closure_and_is_a_support(self, seed):
+        """Two-sided under equality: the per-atom closure answer is the
+        exact one, and every admissible map into the pool that fixes the
+        answer pointwise keeps the class, which is the definition of a
+        support and does not lean on the one-atom lemma."""
+        P, elems = supp_deck(EQ, seed)
+        for e in elems:
+            dropped, pool, labels = closure_supp(P, e)
+            s = supp_of(P, e, pool)
+            assert s == ext_support(e).minus(dropped)
+            for m in admissible_maps(EQ, ext_support(e), pool.atoms):
+                if all(m(a) == a for a in s):
+                    assert labels[ext_key(act_finite(m, e))] == labels[ext_key(e)]
+
+    @pytest.mark.parametrize("sym", (EQ, ORD))
+    @pytest.mark.parametrize("seed", range(40))
+    def test_pool_droppable_is_dropped(self, sym, seed):
+        """One-sided under both symmetries: a pool closure sees only some of
+        the congruence's instances."""
+        P, elems = supp_deck(sym, seed)
+        for e in elems:
+            dropped, pool, _ = closure_supp(P, e)
+            assert not dropped.intersection(supp_of(P, e, pool))
 
 
 class TestActQuot:
