@@ -13,13 +13,18 @@ configuration automaton.  `determinize_generic` exposes the construction
 generically: with finite-powerset side effects it is the classical subset
 construction, with free-nominal side effects it is the configuration
 automaton that `step`/`run` walk.  A step is equivariant, so the walk runs
-`step_full` once per orbit, on the order type of the registers' values and
-the input, and renames that result to every other configuration of the
-orbit.
+`step_full` once per orbit of (location, registers' values, input) and
+renames that result to every other configuration of the orbit.  The orbit
+is named by the input's position among the register values: one of k+1
+under equality (a register's value, or new) and one of 2k+1 under total
+order (on a value or in a gap), for k registers.  Renaming, and an
+unvalidated equality automaton whose guards use `lt`, name it by the full
+order type of the values and the input.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -128,6 +133,7 @@ class RegisterAutomaton:
         for t in self.transitions:
             by_source.setdefault(t.source, []).append(t)
         self._by_source = {q: tuple(ts) for q, ts in by_source.items()}
+        self._locate = _locator(self)
 
     def outgoing(self, loc) -> tuple:
         return self._by_source.get(loc, ())
@@ -221,8 +227,8 @@ def step_full(ra: RegisterAutomaton, c: Config, input_atom: Atom):
     """Successor configurations, one per enabled transition and in transition
     order, plus the successors dropped as inadmissible.  `RestrictedMap`
     decides admissibility; `is_admissible` runs only when it refuses.  The
-    frontier loop calls this once per orbit, on its order type (see
-    `_successors`), so the constructor runs once per orbit too."""
+    frontier loop calls this once per orbit, on a template of natural-number
+    values (see `_successors`), so the constructor runs once per orbit too."""
     kept, dropped = [], []
     for t in ra.outgoing(c.loc):
         if not eval_guard(ra.signature, t.guard, c.valuation, input_atom):
@@ -272,8 +278,47 @@ def _configs(ra: RegisterAutomaton, keys) -> tuple:
                  for loc, regs, vals in sorted(keys, key=_config_key))
 
 
+def _between(vals: tuple, a) -> tuple:
+    """Total order: `vals` increases strictly, so `a` is on the value at
+    `p = bisect_left(vals, a)` (code `2p+1`) or in the gap before it (code
+    `2p`).  The renaming target is `vals` with `a` inserted; on a value the
+    register's value wins, as `2` does over `Fraction(2)`."""
+    p = bisect_left(vals, a)
+    if p < len(vals) and vals[p] == a:
+        return 2 * p + 1, vals
+    return 2 * p, (*vals[:p], a, *vals[p:])
+
+
+def _among(vals: tuple, a) -> tuple:
+    """Equality without `lt`: `vals` is injective, so `a` is register `i`'s
+    value (code `i`) or none of them (code `k`)."""
+    if a in vals:
+        return vals.index(a), vals
+    return len(vals), (*vals, a)
+
+
+def _ranked(vals: tuple, a) -> tuple:
+    """Any symmetry: the order type of the values and `a`, which is all a
+    guard can observe, valuations that repeat a value included."""
+    ranks, at_rank = order_type([*vals, a])
+    return tuple(ranks), at_rank
+
+
+def _locator(ra: RegisterAutomaton):
+    """How `_successors` names an orbit, as `(code, renaming target)`.
+    Equality needs the full order type only when an (unvalidated) guard
+    compares with `lt`, which `Signature.holds` evaluates; renaming needs it
+    because its valuations need not be injective."""
+    if ra.sym is SymmetryId.TOTAL_ORDER:
+        return _between
+    if ra.sym is SymmetryId.EQUALITY and not any(
+            lit.relation == "lt" for t in ra.transitions for lit in t.guard.literals):
+        return _among
+    return _ranked
+
+
 def _orbit_step(ra: RegisterAutomaton, loc, regs: tuple, ranks: list) -> tuple:
-    """The kept successors of the order type `ranks` (register values, then
+    """The kept successors of the template `ranks` (register values, then
     the input) at `loc`, as `(target, registers, value ranks)` templates.
     The ranks are naturals, so atoms of every domain."""
     c = Config(loc, RestrictedMap(ra.sym, FiniteMap(tuple(zip(regs, ranks)))))
@@ -286,24 +331,27 @@ def _successors(ra: RegisterAutomaton, keys, letters: tuple, memo: dict) -> list
     here, once, whether or not a transition stores it.
 
     A step observes only `eq`/`lt` between the input and the registers and
-    admissibility, all of which a strictly monotone bijection keeps, and it
-    only copies atoms.  So its successors are fixed by the location, the
-    registers and the order type of their values plus the input: `step_full`
-    runs once per order type, on the ranks, and `memo` (one walk's) holds
-    the result, which is renamed back to the atoms at every other hit.  An
-    order type whose step raises is not stored."""
+    admissibility, and it only copies atoms.  A strictly monotone map keeps
+    all of these, and without `lt` under equality an injective one does.
+    So its successors are fixed by the location, the registers and the
+    input's position among their values (`ra._locate`):
+    `step_full` runs once per position, on the ranks of the values and the
+    input in the renaming target, and `memo` (one walk's) holds the result,
+    which is renamed back to the atoms at every other hit.  A position
+    whose step raises is not stored."""
     for a in letters:
         check_atom(ra.sym, a)
+    locate = ra._locate
     out = []
     for loc, regs, vals in keys:
         for a in letters:
-            ranks, at_rank = order_type([*vals, a])
-            mkey = (loc, regs, tuple(ranks))
+            code, ext = locate(vals, a)
+            mkey = (loc, regs, code)
             succs = memo.get(mkey)
             if succs is None:
-                succs = memo[mkey] = _orbit_step(ra, loc, regs, ranks)
+                succs = memo[mkey] = _orbit_step(ra, loc, regs, [ext.index(v) for v in (*vals, a)])
             for target, tregs, tranks in succs:
-                out.append((target, tregs, tuple([at_rank[r] for r in tranks])))
+                out.append((target, tregs, tuple([ext[r] for r in tranks])))
     return list(dict.fromkeys(out)) if len(out) > 1 else out  # one key needs no hashing
 
 
@@ -427,7 +475,8 @@ def determinize_generic(monad, coalg):
     With `PfSubsets` and an `Nfa` this is the classical subset
     construction; with `ExtConfigs` and a `RegisterAutomaton` it is the
     configuration automaton, whose transitions `step`/`run` compute once
-    per orbit (one `step_full` per order type) and rename to the rest.
+    per orbit (one `step_full` per position of the input among the register
+    values) and rename to the rest.
     """
     if monad is PfSubsets:
         if not isinstance(coalg, Nfa):

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -409,14 +410,15 @@ class TestReachableOrbits:
             reachable_orbits(ra, pool_atoms(SymmetryId.RENAMING, 2), 1)
 
 
-def guess_store_automaton():
-    """Guesses two distinct letters and stores both: many configurations per location."""
+def guess_store_automaton(symmetry="equality"):
+    """Guesses two distinct letters and stores both: many configurations per
+    location.  Under total order the second must exceed the first."""
     def t(src, tgt, assign, guard=()):
         return {"from": src, "to": tgt, "assign": assign, "guard": list(guard)}
 
     r0, r1 = {"reg": 0}, {"reg": 1}
     return automaton_from_json({
-        "symmetry": "equality",
+        "symmetry": symmetry,
         "locations": {"elements": [{"id": q, "support": s} for q, s in
                                    (("s0", []), ("s1", [0]), ("s2", [0, 1]), ("s3", [1]), ("acc", []))]},
         "initial": "s0",
@@ -822,10 +824,98 @@ class TestOrbitMemoMatchesOracle:
         assert outcome(oracle_run, ra, [5, 5]) == (UnresolvedRegister, "0")
         assert outcome(run, ra, [5, 5]) == (UnresolvedRegister, "0")
 
+    @pytest.mark.parametrize("sym", [EQ, SymmetryId.RENAMING])
+    def test_lt_guard_under_a_symmetry_that_ignores_order(self, sym):
+        """Unvalidated, an `lt` guard compares values that the symmetry does
+        not order: after `5`, the input `3` passes it and `7` does not,
+        though both are new to the register."""
+        locs = SuppSet.of([("q0", Support()), ("q1", Support.of([0])), ("acc", Support())])
+        ts = (
+            make_transition("q0", TRUE_GUARD, "q1", {0: INPUT}),
+            make_transition("q1", TRUE_GUARD, "q1", {0: Reg(0)}),
+            make_transition("q1", Guard((Literal(True, "lt", (INPUT, Reg(0))),)), "acc", {}),
+        )
+        ra = RegisterAutomaton(sym, locs, "q0", frozenset(["acc"]), ts)
+        for word, accepted in (([5, 3], True), ([5, 7, 3], True), ([5, 7], False)):
+            assert outcome(run, ra, word) == outcome(oracle_run, ra, word) == ("ok", accepted)
+        pool = Support.of([3, 5, 7])
+        assert outcome(reachable_configs, ra, pool, 2) == outcome(oracle_reachable_configs, ra, pool, 2)
+
+
+def positions_automaton(raising=False):
+    """Total order, two registers `r0 < r1` at `two`, then one target per
+    position of the input: below `r0`, on it, between, on `r1`, above.  `kept`
+    stores the input alone, `wide` stores it between the registers (dropped
+    unless it lies there).  With `raising`, an input below `r0` reaches a
+    guard literal that has no interpretation."""
+    two = Support.of([0, 1])
+    locs = SuppSet.of([("p", Support()), ("one", Support.of([0])), ("two", two), ("kept", Support.of([1])),
+                       ("wide", Support.of([0, 1, 2]))]
+                      + [(q, two) for q in ("below", "on0", "mid", "on1", "above")])
+
+    def lit(rel, x, y):
+        return Literal(True, rel, (x, y))
+
+    r0, r1 = Reg(0), Reg(1)
+    keep = {0: r0, 1: r1}
+    ts = [
+        make_transition("p", TRUE_GUARD, "one", {0: INPUT}),
+        make_transition("one", TRUE_GUARD, "two", {0: r0, 1: INPUT}),
+        make_transition("two", TRUE_GUARD, "two", keep),
+        make_transition("two", Guard((lit("lt", INPUT, r0),)), "below", keep),
+        make_transition("two", Guard((lit("eq", INPUT, r0),)), "on0", keep),
+        make_transition("two", Guard((lit("lt", r0, INPUT), lit("lt", INPUT, r1))), "mid", keep),
+        make_transition("two", Guard((lit("eq", INPUT, r1),)), "on1", keep),
+        make_transition("two", Guard((lit("lt", r1, INPUT),)), "above", keep),
+        make_transition("two", TRUE_GUARD, "kept", {1: INPUT}),
+        make_transition("two", TRUE_GUARD, "wide", {0: r0, 1: INPUT, 2: r1}),
+    ]
+    if raising:
+        ts.append(make_transition("two", Guard((lit("lt", INPUT, r0), lit("between", INPUT, r0))), "two", keep))
+    return RegisterAutomaton(ORD, locs, "p", frozenset(), tuple(ts))
+
+
+class TestPositionsAgreeWithOracle:
+    """The frontier loop names an orbit by the input's position among the
+    register values; every position, and atoms of both types that are
+    equal, give the sorted-frontier loop's answers and exceptions."""
+
+    LETTERS = (1, Fraction(1, 2), 2, Fraction(2), 3, Fraction(7, 2), 5, Fraction(5), 9, Fraction(19, 2))
+
+    @pytest.mark.parametrize("raising", [False, True])
+    def test_run(self, raising):
+        ra = positions_automaton(raising)
+        assert validate(ra).ok != raising
+        words = [[*prefix, a] for prefix in ([2, 5], [Fraction(2), 5], [2, Fraction(5)]) for a in self.LETTERS]
+        words += [[2, 5, a, b] for a in self.LETTERS for b in self.LETTERS]
+        TestOrbitMemoMatchesOracle.compare_runs(ra, [{q} for q in ra.locations.elements], words)
+
+    @pytest.mark.parametrize("raising", [False, True])
+    @pytest.mark.parametrize("pool", [(Fraction(1, 2), 2, Fraction(7, 2), 5, 9), (1, Fraction(2), 3, Fraction(5), 9)])
+    def test_reachable_configs(self, raising, pool):
+        ra = positions_automaton(raising)
+        pool = Support.of(pool)
+        for depth in range(5):
+            assert outcome(reachable_configs, ra, pool, depth) == outcome(oracle_reachable_configs, ra, pool, depth)
+
+    def test_every_position_is_reached(self):
+        ra = positions_automaton()
+        reached = {c.loc for c in reachable_configs(ra, Support.of([1, 2, 3, 5, 9]), 3)}
+        assert {"below", "on0", "mid", "on1", "above", "kept", "wide"} <= reached
+
+    def test_register_value_wins(self):
+        """On a value the stored atom is the register's, as `order_type`
+        keeps the first of equal values: `Fraction(2)` for input `2`."""
+        ra = positions_automaton()
+        c = config(ra, "two", {0: Fraction(2), 1: 5})
+        kept = [d.valuation(1) for d in step(ra, c, 2) if d.loc == "kept"]
+        assert kept == [2] and type(kept[0]) is Fraction
+
 
 class TestOneStepPerOrbit:
-    """`run` calls `step_full` once per order type of (location, register
-    values, input), however long the word: no clock, a count."""
+    """`run` calls `step_full` once per location, register domain and
+    position of the input among the register values, however long the
+    word: no clock, a count."""
 
     @staticmethod
     def count_steps(monkeypatch, ra, word):
@@ -866,4 +956,22 @@ class TestOneStepPerOrbit:
         ra = guess_store_automaton()
         atoms = rng.sample(range(1000), 20)
         counts = [self.count_steps(monkeypatch, ra, [rng.choice(atoms) for _ in range(n)]) for n in (40, 100)]
-        assert counts[0] == counts[1] <= 18
+        assert counts[0] == counts[1] == 9  # k+1 positions at each location: 1+2+3+2+1
+
+    def test_total_order_positions(self, monkeypatch):
+        """Under total order the input sits on one of k register values or in
+        one of k+1 gaps: at most 2k+1 steps per location and register domain."""
+        rng = Random(5)
+        ra = guess_store_automaton("total-order")
+        atoms = rng.sample(range(1000), 20)
+        for n in (40, 100):
+            steps = Counter()
+
+            def counted(ra, c, a):
+                steps[c.loc, c.valuation.domain] += 1
+                return step_full(ra, c, a)
+
+            monkeypatch.setattr(automata_module, "step_full", counted)
+            run(ra, [rng.choice(atoms) for _ in range(n)])
+            assert steps[("s2", Support.of([0, 1]))] > 1
+            assert all(m <= 2 * len(dom) + 1 for (_, dom), m in steps.items())
