@@ -299,11 +299,10 @@ def suite_presentations(rng: Random, n: int) -> SuiteResult:
             small = pool_atoms(sym, 3)
             P = random_presentation(rng, sym, small)
             pool = PR.default_pool(P)
-            universe = FN.ext_enumerate(sym, P.generators, pool.atoms)
+            universe, labels = PR.quot_classes(P, pool)
             if not universe:
                 continue
             e1, e2 = rng.choice(universe), rng.choice(universe)
-            _, labels = PR.quot_classes(P, pool)
             uf_verdict = labels[PR._ext_key(e1)] == labels[PR._ext_key(e2)]
             fx_verdict = PR.quot_eq_fixpoint(P, e1, e2, pool)
             res.check(uf_verdict == fx_verdict,

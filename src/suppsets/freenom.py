@@ -180,18 +180,26 @@ def extend(f, carrier: NominalCarrier, X: SuppSet, e: ExtElem):
     return primary
 
 
-def admissible_maps(sym: SymmetryId, domain: Support, pool: Support) -> Iterator[FiniteMap]:
-    """All admissible finite maps from `domain` into `pool`, in a fixed order."""
-    src = tuple(domain)
-    atoms = tuple(pool)
+def admissible_targets(sym: SymmetryId, k: int, atoms) -> Iterator[tuple]:
+    """Every admissible tuple of images, taken from the sorted sequence
+    `atoms`, for a sorted domain of `k` atoms, in a fixed order: injective
+    (equality), increasing (total order) or any (renaming).  The order
+    depends only on positions in `atoms`, so `range(len(atoms))` yields
+    the same tuples, written as positions."""
     if sym is SymmetryId.EQUALITY:
-        choices = itertools.permutations(atoms, len(src))
-    elif sym is SymmetryId.TOTAL_ORDER:
-        choices = itertools.combinations(atoms, len(src))
-    else:
-        choices = itertools.product(atoms, repeat=len(src))
-    for tgt in choices:
-        yield FiniteMap.of(zip(src, tgt))
+        return itertools.permutations(atoms, k)
+    if sym is SymmetryId.TOTAL_ORDER:
+        return itertools.combinations(atoms, k)
+    return itertools.product(atoms, repeat=k)
+
+
+def admissible_maps(sym: SymmetryId, domain: Support, pool: Support) -> Iterator[FiniteMap]:
+    """All admissible finite maps from `domain` into `pool`, in a fixed order.
+    The domain is a `Support`, sorted and distinct, so the entries need no
+    re-sorting."""
+    src = tuple(domain)
+    for tgt in admissible_targets(sym, len(src), tuple(pool)):
+        yield FiniteMap(tuple(zip(src, tgt)))
 
 
 def ext_enumerate(sym: SymmetryId, X: SuppSet, pool: Support) -> tuple:

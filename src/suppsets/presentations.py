@@ -9,10 +9,13 @@ saturates from its equation orbits under swap and composition once, so
 atom.  Element counts and every renaming query are decided over a bounded
 atom pool: every equation is instantiated along every admissible
 reassignment of its atoms into the pool, and the resulting pairs are
-closed into an equivalence over the pool-bounded extension.  Two closure
-engines are kept deliberately separate -- a union-find and a naive
-fixpoint sweep -- so each can serve as the other's oracle, and both as
-one-sided oracles of the saturation.  Orbit counts need no closure: they
+closed into an equivalence over the pool-bounded extension.  The
+union-find closure runs on pool positions: an element is an index found
+from its base and the positions of its atoms in the pool, and an
+instance is a tuple of positions, so no map or element is built per
+instance.  A naive fixpoint sweep over extension elements is kept
+deliberately separate, so each engine can serve as the other's oracle,
+and both as one-sided oracles of the saturation.  Orbit counts need no closure: they
 follow from the generators and equations that fit in the pool, with the
 enumerating count kept as their oracle.
 """
@@ -24,6 +27,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from operator import itemgetter
 
 from .atoms import EMPTY_SUPPORT, GlobalMap, Support, SymmetryId, fresh_atoms, lock_free_witness, order_type
 from .atoms import fresh  # unused here; the benchmark's trace.IMPORT_POINTS wraps it
@@ -32,6 +36,7 @@ from .freenom import (
     act,
     act_finite,
     admissible_maps,
+    admissible_targets,
     check_ext_elem,
     ext_elem_from_json,
     ext_elem_to_json,
@@ -119,19 +124,51 @@ def _instance_pairs(P: FinPresentation, pool: Support):
             yield act_finite(m, lhs), act_finite(m, rhs)
 
 
-def quot_classes(P: FinPresentation, pool: AtomPool):
-    """Union-find closure over the pool-bounded extension.
+def _picker(at: list):
+    """`t -> tuple(t[j] for j in at)`, by `itemgetter` where that returns a tuple."""
+    return itemgetter(*at) if len(at) > 1 else lambda t: tuple([t[j] for j in at])
 
-    Returns (universe, labels) where labels maps each element's key to a
-    canonical class label.
+
+def quot_classes(P: FinPresentation, pool: AtomPool):
+    """Union-find closure over the pool-bounded extension, run on pool
+    positions.
+
+    The pool's atoms are numbered 0..p-1 in order.  An element is keyed by
+    its base and the positions of its images, which `admissible_targets`
+    yields in `ext_enumerate`'s order, so a key's index is the element's
+    place in the universe.  An equation instance is an admissible tuple of
+    positions for the equation's atoms; each side reads its positions off
+    that tuple.  An admissible map after an admissible reassignment is
+    admissible, so every instance is an element of the universe.  The
+    unions come in the order of `_instance_pairs`.
+
+    Returns (universe, labels) where labels maps each element's key to the
+    key of its class's representative.
     """
     universe = ext_enumerate(P.sym, P.generators, pool.atoms)
+    positions = range(len(pool))
+    index = {}
+    for x, s in P.generators.items:
+        for t in admissible_targets(P.sym, len(s), positions):
+            index[x, t] = len(index)
+    parent = list(range(len(index)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for lhs, rhs in P.equations:
+        dom = ext_support(lhs).union(ext_support(rhs)).atoms
+        pick_l, pick_r = (_picker([dom.index(b) for _, b in e.pi.images.entries]) for e in (lhs, rhs))
+        for t in admissible_targets(P.sym, len(dom), positions):
+            a = find(index[lhs.base, pick_l(t)])
+            b = find(index[rhs.base, pick_r(t)])
+            if a != b:
+                parent[b] = a
     keys = [_ext_key(e) for e in universe]
-    uf = UnionFind(keys)
-    for el, er in _instance_pairs(P, pool.atoms):
-        uf.union(_ext_key(el), _ext_key(er))
-    labels = {k: uf.find(k) for k in keys}
-    return universe, labels
+    return universe, {k: keys[find(i)] for i, k in enumerate(keys)}
 
 
 def _require_in_pool(P: FinPresentation, pool: AtomPool, *elems: ExtElem):

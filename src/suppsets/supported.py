@@ -225,22 +225,18 @@ def coequalizer(f: SuppMap, g: SuppMap):
     uf = UnionFind(X.elements)
     for r in f.source.elements:
         uf.union(f(r), g(r))
-    classes = {}
-    for x in X.elements:
-        classes.setdefault(uf.find(x), []).append(x)
-    items = []
-    rep_of = {}
-    for members in classes.values():
-        rep = min(members, key=_id_key)
-        supp = X.support(members[0])
-        for m in members[1:]:
-            supp = supp.intersect(X.support(m))
-        for m in members:
-            rep_of[m] = rep
-        items.append((rep, supp))
-    items.sort(key=lambda it: _id_key(it[0]))
+    rep, meet = {}, {}  # class root -> least member id so far, meet of its members' supports
+    for x, sx in X.items:
+        k = uf.find(x)
+        if k not in rep:
+            rep[k], meet[k] = x, sx
+        else:
+            if _id_key(x) < _id_key(rep[k]):
+                rep[k] = x
+            meet[k] = meet[k].intersect(sx)
+    items = sorted(((rep[k], meet[k]) for k in rep), key=lambda it: _id_key(it[0]))
     Q = SuppSet(tuple(items))
-    epi = SuppMap(X, Q, tuple((x, rep_of[x]) for x in X.elements))
+    epi = SuppMap(X, Q, tuple((x, rep[uf.find(x)]) for x in X.elements))
     return Q, epi
 
 
@@ -294,22 +290,16 @@ def image_factorization(f: SuppMap, support_from: str = "source"):
     if support_from not in ("source", "target"):
         raise ValueError("support_from must be 'source' or 'target'")
     X, Y = f.source, f.target
-    fibres = {}
-    for x in X.elements:
-        fibres.setdefault(f(x), []).append(x)
-    items = []
-    for y in Y.elements:
-        members = fibres.get(y)
-        if not members:
-            continue
-        if support_from == "target":
-            supp = Y.support(y)
-        else:
-            supp = X.support(members[0])
-            for m in members[1:]:
-                supp = supp.intersect(X.support(m))
-        items.append((y, supp))
-    Im = SuppSet(tuple(items))
+    source = support_from == "source"
+    meet = {}  # each hit y -> the meet of its fibre's supports, in source order
+    for x, sx in X.items:
+        y = f(x)
+        if y not in meet:
+            meet[y] = sx
+        elif source:
+            meet[y] = meet[y].intersect(sx)
+    items = tuple((y, meet[y] if source else Y.support(y)) for y in Y.elements if y in meet)
+    Im = SuppSet(items)
     epi = SuppMap(X, Im, tuple((x, f(x)) for x in X.elements))
     mono = SuppMap(Im, Y, tuple((y, y) for y, _ in items))
     return epi, Im, mono

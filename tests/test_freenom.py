@@ -21,6 +21,7 @@ from suppsets.freenom import (
     act,
     act_finite,
     admissible_maps,
+    admissible_targets,
     check_ext_elem,
     ext_elem_from_json,
     ext_elem_to_json,
@@ -334,6 +335,20 @@ class TestEnumerate:
         a = ext_enumerate(EQ, self.X, Support.of([0, 1, 2]))
         b = ext_enumerate(EQ, self.X, Support.of([0, 1, 2]))
         assert a == b
+
+    @pytest.mark.parametrize("sym", SYMS)
+    @pytest.mark.parametrize("k", range(4))
+    def test_targets_on_positions_follow_the_atoms(self, sym, k):
+        """Position tuples name the atom tuples in the same order, so an
+        index built over `range(p)` matches `admissible_maps` and
+        `ext_enumerate` element for element."""
+        pool = pool_atoms(sym, 4)
+        atoms = tuple(pool)
+        dom = Support.of(range(k))
+        on_atoms = [tuple(m(a) for a in dom) for m in admissible_maps(sym, dom, pool)]
+        on_positions = [tuple(atoms[i] for i in t) for t in admissible_targets(sym, k, range(len(atoms)))]
+        assert on_positions == on_atoms
+        assert len(on_atoms) == len(ext_enumerate(sym, SuppSet.of({"x": dom}), pool))
 
 
 class TestSupportsIff:

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 from random import Random
 
@@ -211,18 +212,22 @@ class TestCounts:
             orbit_count(P, AtomPool(Support.of([0])))
 
 
-def glued_presentation(rng, sym):
-    """1-4 generators of support <= 3 and 0-4 equations, each between two
-    generators drawn independently, so some glue different generators."""
-    atoms = pool_atoms(sym, 5)
-    gens = random_suppset(rng, sym, atoms, max_elems=4, max_supp=3, prefix="g")
+def glue(rng, sym, gens, atoms, max_eqs):
+    """0 to `max_eqs` equations over `atoms`, each between two generators
+    drawn independently, so some glue different generators."""
 
     def side():
         x = rng.choice(gens.elements)
         return ExtElem(RestrictedMap(sym, random_admissible(rng, sym, gens.support(x), atoms)), x)
 
-    eqs = tuple((side(), side()) for _ in range(rng.randint(0, 4)))
+    eqs = tuple((side(), side()) for _ in range(rng.randint(0, max_eqs)))
     return FinPresentation(sym, gens, eqs)
+
+
+def glued_presentation(rng, sym):
+    """1-4 generators of support <= 3 and 0-4 equations."""
+    atoms = pool_atoms(sym, 5)
+    return glue(rng, sym, random_suppset(rng, sym, atoms, max_elems=4, max_supp=3, prefix="g"), atoms, 4)
 
 
 class TestOrbitCount:
@@ -323,6 +328,95 @@ class TestOracleAgreement:
             for e2 in universe[:8]:
                 if labels[ext_key(e1)] == labels[ext_key(e2)]:
                     assert quot_eq(P, e1, e2, pool)
+
+
+RN = SymmetryId.RENAMING
+MIXED = Support.of([0, Fraction(1, 2), 1, 2])
+
+
+def oracle_presentation(rng, sym, atoms):
+    """1-3 generators of support <= 2, a generator `z` with empty support,
+    and 0-3 equations that may glue `z` to the others."""
+    gens = random_suppset(rng, sym, atoms, max_elems=3, max_supp=2, prefix="g")
+    return glue(rng, sym, SuppSet(gens.items + (("z", Support()),)), atoms, 3)
+
+
+class TestPositionClosure:
+    """`quot_classes` closes on pool positions; `quot_eq_fixpoint` closes
+    on extension elements and is its oracle."""
+
+    @staticmethod
+    def check(P, pool, rng):
+        universe, labels = quot_classes(P, pool)
+        assert len(labels) == len(universe)
+        for label in labels.values():
+            assert labels[label] == label  # each label is its class's representative's key
+        classes = {}
+        for e in universe:
+            classes.setdefault(labels[ext_key(e)], []).append(e)
+        for e1 in rng.sample(universe, min(len(universe), 4)):
+            mates = classes[labels[ext_key(e1)]]
+            for e2 in (rng.choice(mates), rng.choice(universe)):
+                assert quot_eq_fixpoint(P, e1, e2, pool) == (labels[ext_key(e1)] == labels[ext_key(e2)])
+        return universe, labels
+
+    @pytest.mark.parametrize("sym", (EQ, ORD, RN))
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_fixpoint(self, sym, seed):
+        rng = Random(f"positions:{seed}")
+        P = oracle_presentation(rng, sym, pool_atoms(sym, 4))
+        for n in range(6):
+            universe, _ = self.check(P, AtomPool(pool_atoms(sym, n)), rng)
+            assert universe  # `z` fits every pool, the empty one too
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_mixed_int_and_fraction_pool(self, seed):
+        rng = Random(f"mixed:{seed}")
+        P = oracle_presentation(rng, ORD, MIXED)
+        for k in range(len(MIXED) + 1):
+            self.check(P, AtomPool(Support.of(rng.sample(tuple(MIXED), k))), rng)
+
+    def test_renaming_quot_eq_runs_on_it(self):
+        gens = SuppSet.of({"g": Support.of([0, 1])})
+        swap = (relem(RN, {0: 1, 1: 0}, "g"), relem(RN, {0: 0, 1: 1}, "g"))
+        P = FinPresentation(RN, gens, (swap,))
+        pool = AtomPool(pool_atoms(RN, 5))
+        assert element_count(P, pool) == 15  # 5 diagonal maps and 10 unordered pairs
+        e1, e2 = relem(RN, {0: 3, 1: 1}, "g"), relem(RN, {0: 1, 1: 3}, "g")
+        assert quot_eq(P, e1, e2, pool) and quot_eq_fixpoint(P, e1, e2, pool)
+
+    def test_unordered_pairs_at_pool_40(self):
+        P = presentation_from_json(json.loads((DATA / "unordered_pairs.json").read_text()))
+        assert element_count(P, AtomPool(pool_atoms(EQ, 40))) == 40 * 39 // 2
+
+    @staticmethod
+    def first_atom_family():
+        """Under total order `(g, (a, b)) = (g, (a, c))`: a class of `g` is
+        fixed by its first atom, so a pool of n atoms has n - 1 classes of
+        `g` and n of the free `h`."""
+        gens = SuppSet.of([("g", Support.of([0, 1])), ("h", Support.of([0]))])
+        eq = (relem(ORD, {0: 0, 1: 1}, "g"), relem(ORD, {0: 0, 1: 2}, "g"))
+        return FinPresentation(ORD, gens, (eq,))
+
+    def test_total_order_family_at_pool_30(self):
+        assert element_count(self.first_atom_family(), AtomPool(pool_atoms(ORD, 30))) == 59
+
+    def test_builds_nothing_per_instance(self, monkeypatch):
+        """Timing-free: no `act_finite` call, and no more `RestrictedMap`s
+        than the universe's own, where the pool has 220 instances."""
+        import suppsets.presentations as presentations
+
+        P, pool = self.first_atom_family(), AtomPool(pool_atoms(ORD, 12))
+
+        def refuse(*args):
+            raise AssertionError("act_finite called")
+
+        monkeypatch.setattr(presentations, "act_finite", refuse)
+        built = []
+        check = RestrictedMap.__post_init__
+        monkeypatch.setattr(RestrictedMap, "__post_init__", lambda self: built.append(check(self)))
+        assert element_count(P, pool) == 23
+        assert len(built) <= len(ext_enumerate(ORD, P.generators, pool.atoms)) == 78
 
 
 class TestPoolStability:

@@ -339,6 +339,88 @@ class TestImageFactorization:
         assert mono.is_support_reflecting()
 
 
+def _coequalizer_by_member_lists(f, g):
+    """The earlier coequalizer: each class gathered into a list of its members."""
+    from suppsets.supported import UnionFind, _id_key
+
+    X = f.target
+    uf = UnionFind(X.elements)
+    for r in f.source.elements:
+        uf.union(f(r), g(r))
+    classes = {}
+    for x in X.elements:
+        classes.setdefault(uf.find(x), []).append(x)
+    items, rep_of = [], {}
+    for members in classes.values():
+        rep = min(members, key=_id_key)
+        supp = X.support(members[0])
+        for m in members[1:]:
+            supp = supp.intersect(X.support(m))
+        for m in members:
+            rep_of[m] = rep
+        items.append((rep, supp))
+    items.sort(key=lambda it: _id_key(it[0]))
+    Q = SuppSet(tuple(items))
+    return Q, SuppMap(X, Q, tuple((x, rep_of[x]) for x in X.elements))
+
+
+def _image_by_fibre_lists(f, support_from):
+    """The earlier image factorization: each fibre gathered into a list."""
+    X, Y = f.source, f.target
+    fibres = {}
+    for x in X.elements:
+        fibres.setdefault(f(x), []).append(x)
+    items = []
+    for y in Y.elements:
+        members = fibres.get(y)
+        if not members:
+            continue
+        if support_from == "target":
+            supp = Y.support(y)
+        else:
+            supp = X.support(members[0])
+            for m in members[1:]:
+                supp = supp.intersect(X.support(m))
+        items.append((y, supp))
+    Im = SuppSet(tuple(items))
+    epi = SuppMap(X, Im, tuple((x, f(x)) for x in X.elements))
+    return epi, Im, SuppMap(Im, Y, tuple((y, y) for y, _ in items))
+
+
+def _mixed_ids(rng, n):
+    """n distinct ids of three kinds, shuffled, so the least id of a class is
+    often not its first member."""
+    ids = [f"e{i}" for i in range(n)] + list(range(n)) + [(i, "t") for i in range(n)]
+    return rng.sample(ids, n)
+
+
+class TestMeetsMatchTheMemberLists:
+    """coequalizer and image_factorization keep one running meet per class
+    instead of a list of members; their results equal the list versions."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_coequalizer(self, seed):
+        rng = Random(seed)
+        n = rng.randint(1, 14)
+        ids = _mixed_ids(rng, n)
+        X = SuppSet.of([(x, rng.sample(range(6), rng.randint(0, 4))) for x in ids])
+        R = SuppSet.of([(("r", j), []) for j in range(rng.randint(0, n))])
+        f = SuppMap(R, X, tuple((r, rng.choice(ids)) for r in R.elements))
+        g = SuppMap(R, X, tuple((r, rng.choice(ids)) for r in R.elements))
+        assert coequalizer(f, g) == _coequalizer_by_member_lists(f, g)
+
+    @pytest.mark.parametrize("support_from", ["source", "target"])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_image_factorization(self, seed, support_from):
+        rng = Random(seed)
+        n = rng.randint(0, 14)
+        X = SuppSet.of([(x, rng.sample(range(6), rng.randint(0, 4))) for x in _mixed_ids(rng, n)])
+        ys = _mixed_ids(rng, rng.randint(1, 8))
+        Y = SuppSet.of([(y, rng.sample(range(6), rng.randint(0, 2))) for y in ys])
+        f = SuppMap(X, Y, tuple((x, rng.choice(ys)) for x in X.elements))
+        assert image_factorization(f, support_from) == _image_by_fibre_lists(f, support_from)
+
+
 class TestSubsetSupports:
     def test_union(self):
         X = sset({"x": [0], "y": [1, 2]})
