@@ -12,14 +12,24 @@ stepping through all matching transitions yields the (finitely branching)
 configuration automaton.  `determinize_generic` exposes the construction
 generically: with finite-powerset side effects it is the classical subset
 construction, with free-nominal side effects it is the configuration
-automaton that `step`/`run` walk.  A step is equivariant, so the walk runs
-`step_full` once per orbit of (location, registers' values, input) and
-renames that result to every other configuration of the orbit.  The orbit
-is named by the input's position among the register values: one of k+1
-under equality (a register's value, or new) and one of 2k+1 under total
-order (on a value or in a gap), for k registers.  Renaming, and an
-unvalidated equality automaton whose guards use `lt`, name it by the full
-order type of the values and the input.
+automaton that `step`/`run` walk.
+
+A step is equivariant, so the walk runs `step_full` once per orbit of
+(location, registers' values, input) and renames that result to every
+other configuration of the orbit; a successor that keeps its
+configuration as it was is the configuration itself, not a renamed copy.
+The orbit is named by the input's position among the register values:
+one of k+1 under equality (a register's value, or new) and one of 2k+1
+under total order (on a value or in a gap), for k registers.  Renaming,
+and an unvalidated equality automaton whose guards use `lt`, name it by
+the full order type of the values and the input.
+
+`run` applies the same argument to the whole frontier, a state of the
+configuration automaton supported by the values of its configurations:
+letters in one position among those values step it alike.  Once a letter
+leaves the frontier unchanged, every later letter in its position is
+skipped until the frontier changes, at the cost of one locator call and
+one set lookup.
 """
 
 from __future__ import annotations
@@ -320,9 +330,12 @@ def _locator(ra: RegisterAutomaton):
 def _orbit_step(ra: RegisterAutomaton, loc, regs: tuple, ranks: list) -> tuple:
     """The kept successors of the template `ranks` (register values, then
     the input) at `loc`, as `(target, registers, value ranks)` templates.
-    The ranks are naturals, so atoms of every domain."""
+    The ranks are naturals, so atoms of every domain.  A successor that
+    keeps the location, the registers and their values in place is `None`:
+    it renames to the stepped key itself."""
     c = Config(loc, RestrictedMap(ra.sym, FiniteMap(tuple(zip(regs, ranks)))))
-    return tuple(map(_key, step_full(ra, c, ranks[-1])[0]))
+    same = _key(c)
+    return tuple(None if k == same else k for k in map(_key, step_full(ra, c, ranks[-1])[0]))
 
 
 def _successors(ra: RegisterAutomaton, keys, letters: tuple, memo: dict) -> list:
@@ -337,21 +350,23 @@ def _successors(ra: RegisterAutomaton, keys, letters: tuple, memo: dict) -> list
     input's position among their values (`ra._locate`):
     `step_full` runs once per position, on the ranks of the values and the
     input in the renaming target, and `memo` (one walk's) holds the result,
-    which is renamed back to the atoms at every other hit.  A position
-    whose step raises is not stored."""
+    which is renamed back to the atoms at every other hit.  A template that
+    keeps the key in place (`None`) appends the key as it is, with no
+    renamed tuple.  A position whose step raises is not stored."""
     for a in letters:
         check_atom(ra.sym, a)
     locate = ra._locate
     out = []
-    for loc, regs, vals in keys:
+    for key in keys:
+        loc, regs, vals = key
         for a in letters:
             code, ext = locate(vals, a)
             mkey = (loc, regs, code)
             succs = memo.get(mkey)
             if succs is None:
                 succs = memo[mkey] = _orbit_step(ra, loc, regs, [ext.index(v) for v in (*vals, a)])
-            for target, tregs, tranks in succs:
-                out.append((target, tregs, tuple([ext[r] for r in tranks])))
+            for t in succs:
+                out.append(key if t is None else (t[0], t[1], tuple([ext[r] for r in t[2]])))
     return list(dict.fromkeys(out)) if len(out) > 1 else out  # one key needs no hashing
 
 
@@ -361,19 +376,39 @@ def step(ra: RegisterAutomaton, c: Config, input_atom: Atom) -> tuple:
 
 def run(ra: RegisterAutomaton, word: Iterable[Atom]) -> bool:
     """Breadth-first subset tracking; accept when a final location is live.
-    The frontier holds keys in discovery order.  When a letter raises, it is
-    replayed on the frontier's configurations in `_config_key` order, so the
-    first of them to raise decides which error the caller sees."""
+    The frontier holds keys in discovery order.
+
+    The frontier is supported by `values`, its configurations' values.  A
+    letter's position among them (`ra._locate`) fixes its position among
+    each configuration's values, so letters in one position are related by
+    a map that fixes `values` and so the frontier, and step it alike.  When
+    a step leaves the frontier as it was, `stays` records the position, and
+    every later letter there costs its domain check, one locator call and
+    one set lookup, with no step.  A frontier that changes starts a new
+    `stays`; `stays` and the per-orbit memo live for this call.  When a
+    letter raises, it is replayed on the frontier's configurations in
+    `_config_key` order, so the first of them to raise decides which error
+    the caller sees."""
     memo = {}
     frontier = [_key(initial_config(ra))]
+    values, stays = (), set()
+    locate = ra._locate
     for a in word:
+        check_atom(ra.sym, a)
+        code = locate(values, a)[0]
+        if code in stays:
+            continue
         try:
-            frontier = _successors(ra, frontier, (a,), memo)
+            succs = _successors(ra, frontier, (a,), memo)
         except Exception:
-            check_atom(ra.sym, a)
             for c in _configs(ra, frontier):
                 step_full(ra, c, a)
             raise
+        # both lists are without repeats: same length, then the same keys in any order
+        if len(succs) == len(frontier) and (succs == frontier or set(succs) == set(frontier)):
+            stays.add(code)
+        else:  # distinct and increasing: `_between` needs it, `_among` and `_ranked` accept it
+            frontier, values, stays = succs, tuple(sorted({v for _, _, vals in succs for v in vals})), set()
     return any(loc in ra.final for loc, _, _ in frontier)
 
 

@@ -566,6 +566,14 @@ class TestLettersCheckedAtTheBoundary:
             conf.successor((after_five,), letter)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("letter, message", CASES)
+    def test_run_after_a_long_stay(self, letter, message):
+        """The frontier `q1(5)` stays on every new letter, so all but the
+        first of the 1,000 are skipped; the bad letter still raises."""
+        with pytest.raises(ValueError) as exc:
+            run(first_repeat_automaton(), [5, *range(6, 1006), letter])
+        assert str(exc.value) == message
+
     def test_letter_checked_with_an_empty_frontier(self):
         locs = SuppSet.of([("q0", Support())])
         ra = RegisterAutomaton(EQ, locs, "q0", frozenset(), ())
@@ -778,12 +786,27 @@ class TestOrbitMemoMatchesOracle:
         words = data.draw(st.lists(st.lists(st.sampled_from(pool), max_size=8), min_size=1, max_size=3))
         self.compare_runs(ra, [final] + [{q} for q in ra.locations.elements], words)
 
+    @pytest.mark.parametrize("sym", [EQ, ORD, SymmetryId.RENAMING])
+    @settings(max_examples=50, deadline=None)
+    @given(ra=perturbed_automata(), data=st.data())
+    def test_long_words(self, sym, ra, data):
+        """Few atoms and long words, so that frontiers and letter positions
+        recur and `run` skips letters its frontier stays on.  Total-order
+        words mix `k` with `Fraction(k)`."""
+        ra = RegisterAutomaton(sym, ra.locations, ra.initial, ra.final, ra.transitions)
+        pool = tuple(pool_atoms(sym, data.draw(st.integers(2, 4))))
+        if sym is ORD:
+            pool += tuple(int(a) for a in pool)
+        word = data.draw(st.lists(st.sampled_from(pool), min_size=20, max_size=60))
+        self.compare_runs(ra, [{q} for q in ra.locations.elements], [word])
+
     @pytest.mark.parametrize("make", [first_repeat_automaton, ascent_automaton, guess_store_automaton])
     def test_shipped_automata(self, make):
         ra = make()
         rng = Random(11)
         pool = tuple(pool_atoms(ra.sym, 4))
         words = [[rng.choice(pool) for _ in range(rng.randint(0, 8))] for _ in range(60)]
+        words += [[rng.choice(pool) for _ in range(rng.randint(20, 40))] for _ in range(2)]
         self.compare_runs(ra, [{q} for q in ra.locations.elements], words)
 
     @settings(max_examples=200, deadline=None)
@@ -891,6 +914,18 @@ class TestPositionsAgreeWithOracle:
         TestOrbitMemoMatchesOracle.compare_runs(ra, [{q} for q in ra.locations.elements], words)
 
     @pytest.mark.parametrize("raising", [False, True])
+    def test_run_after_a_long_stay(self, raising):
+        """After `2, 5` the frontier stays on `3` and on `Fraction(3)`, so
+        all but the first two of the 1,000 middle letters are skipped; a
+        letter below `r0` then steps, and raises as the oracle does."""
+        ra = positions_automaton(raising)
+        ra = RegisterAutomaton(ra.sym, ra.locations, ra.initial, {"below"}, ra.transitions)
+        word = [2, 5, *[3, Fraction(3)] * 500, 1]
+        got = outcome(run, ra, word)
+        assert got == outcome(oracle_run, ra, word)
+        assert got == ((ValueError, "relation 'between' has no interpretation") if raising else ("ok", True))
+
+    @pytest.mark.parametrize("raising", [False, True])
     @pytest.mark.parametrize("pool", [(Fraction(1, 2), 2, Fraction(7, 2), 5, 9), (1, Fraction(2), 3, Fraction(5), 9)])
     def test_reachable_configs(self, raising, pool):
         ra = positions_automaton(raising)
@@ -915,17 +950,20 @@ class TestPositionsAgreeWithOracle:
 class TestOneStepPerOrbit:
     """`run` calls `step_full` once per location, register domain and
     position of the input among the register values, however long the
-    word: no clock, a count."""
+    word, and steps its frontier (`_successors`) only on a letter in a
+    position among the frontier's values that it has not stayed on: no
+    clock, a count."""
 
     @staticmethod
-    def count_steps(monkeypatch, ra, word):
+    def count_steps(monkeypatch, ra, word, name="step_full"):
         calls = []
+        inner = getattr(automata_module, name)
 
         def counted(*args):
             calls.append(args)
-            return step_full(*args)
+            return inner(*args)
 
-        monkeypatch.setattr(automata_module, "step_full", counted)
+        monkeypatch.setattr(automata_module, name, counted)
         run(ra, word)
         return len(calls)
 
@@ -949,6 +987,14 @@ class TestOneStepPerOrbit:
         rng = Random(7)
         for ra, make in ((first_repeat_automaton(), self.repeat_word), (ascent_automaton(), self.ascent_word)):
             counts = {self.count_steps(monkeypatch, ra, make(rng, n, accept)) for n in (200, 2000, 20000)}
+            assert len(counts) == 1 and counts.pop() <= 4
+
+    @pytest.mark.parametrize("accept", [True, False])
+    def test_long_words_step_the_frontier_a_few_times(self, monkeypatch, accept):
+        rng = Random(7)
+        for ra, make in ((first_repeat_automaton(), self.repeat_word), (ascent_automaton(), self.ascent_word)):
+            counts = {self.count_steps(monkeypatch, ra, make(rng, n, accept), "_successors")
+                      for n in (200, 2000, 20000)}
             assert len(counts) == 1 and counts.pop() <= 4
 
     def test_wide_frontier(self, monkeypatch):
