@@ -78,9 +78,6 @@ class Support:
     def __len__(self) -> int:
         return len(self.atoms)
 
-    def __bool__(self) -> bool:
-        return bool(self.atoms)
-
     def union(self, other: "Support") -> "Support":
         return Support.of(self.atoms + tuple(other))
 
@@ -410,7 +407,7 @@ def atom_to_json(a: Atom):
     return a
 
 
-def atom_from_json(v, sym: SymmetryId = None) -> Atom:
+def atom_from_json(v, sym: SymmetryId) -> Atom:
     if isinstance(v, bool) or isinstance(v, float):
         raise ValueError(f"inexact atom literal {v!r}")
     if isinstance(v, str):
@@ -422,8 +419,7 @@ def atom_from_json(v, sym: SymmetryId = None) -> Atom:
         a = v
     else:
         raise ValueError(f"bad atom literal {v!r}")
-    if sym is not None:
-        check_atom(sym, a)
+    check_atom(sym, a)
     return a
 
 

@@ -35,7 +35,7 @@ one set lookup.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .atoms import (
@@ -56,30 +56,18 @@ from .freenom import RestrictedMap
 from .supported import SuppSet, suppset_from_json, suppset_to_json
 
 
-@dataclass(frozen=True)
-class Signature:
-    """Relation names with arities; `eq` and `lt` have fixed meanings."""
-
-    relations: tuple  # ((name, arity), ...)
-
-    def arity(self, name: str):
-        for n, k in self.relations:
-            if n == name:
-                return k
-        return None
-
-    def holds(self, name: str, args: tuple) -> bool:
-        if name == "eq":
-            return args[0] == args[1]
-        if name == "lt":
-            return args[0] < args[1]
-        raise ValueError(f"relation {name!r} has no interpretation")
+def relations(sym: SymmetryId) -> tuple:
+    """The guard relations the symmetry can observe, each binary: `eq`, and
+    `lt` under total order."""
+    return ("eq", "lt") if sym is SymmetryId.TOTAL_ORDER else ("eq",)
 
 
-def default_signature(sym: SymmetryId) -> Signature:
-    if sym is SymmetryId.TOTAL_ORDER:
-        return Signature((("eq", 2), ("lt", 2)))
-    return Signature((("eq", 2),))
+def holds(name: str, args: tuple) -> bool:
+    if name == "eq":
+        return args[0] == args[1]
+    if name == "lt":
+        return args[0] < args[1]
+    raise ValueError(f"relation {name!r} has no interpretation")
 
 
 @dataclass(frozen=True)
@@ -134,10 +122,8 @@ class RegisterAutomaton:
     initial: object
     final: frozenset
     transitions: tuple
-    signature: Signature = field(init=False)
 
     def __post_init__(self):
-        self.signature = default_signature(self.sym)
         self.final = frozenset(self.final)
         by_source = {}
         for t in self.transitions:
@@ -180,6 +166,7 @@ def validate(ra: RegisterAutomaton) -> ValidationReport:
     for q in ra.final:
         if q not in ra.locations:
             errors.append(f"final location {q!r} is not a location")
+    rels = relations(ra.sym)
     for i, t in enumerate(ra.transitions):
         where = f"transition {i} ({t.source!r} -> {t.target!r})"
         if t.source not in ra.locations or t.target not in ra.locations:
@@ -188,11 +175,10 @@ def validate(ra: RegisterAutomaton) -> ValidationReport:
         src_supp = ra.locations.support(t.source)
         tgt_supp = ra.locations.support(t.target)
         for lit in t.guard.literals:
-            ar = ra.signature.arity(lit.relation)
-            if ar is None:
+            if lit.relation not in rels:
                 errors.append(f"{where}: unknown relation {lit.relation!r}")
-            elif ar != len(lit.args):
-                errors.append(f"{where}: relation {lit.relation!r} expects {ar} arguments")
+            elif len(lit.args) != 2:
+                errors.append(f"{where}: relation {lit.relation!r} expects 2 arguments")
             for ref in lit.args:
                 if not isinstance(ref, (InputRef, Reg)):
                     errors.append(f"{where}: guard argument {ref!r} is neither INPUT nor a register")
@@ -216,7 +202,7 @@ class UnresolvedRegister(KeyError):
     pass
 
 
-def eval_guard(sig: Signature, g: Guard, val: RestrictedMap, input_atom: Atom) -> bool:
+def eval_guard(g: Guard, val: RestrictedMap, input_atom: Atom) -> bool:
     """Evaluate a guard against a valuation and the current input."""
 
     def resolve(ref):
@@ -228,7 +214,7 @@ def eval_guard(sig: Signature, g: Guard, val: RestrictedMap, input_atom: Atom) -
         return got
 
     for lit in g.literals:
-        if sig.holds(lit.relation, tuple(resolve(r) for r in lit.args)) != lit.positive:
+        if holds(lit.relation, tuple(resolve(r) for r in lit.args)) != lit.positive:
             return False
     return True
 
@@ -241,7 +227,7 @@ def step_full(ra: RegisterAutomaton, c: Config, input_atom: Atom):
     values (see `_successors`), so the constructor runs once per orbit too."""
     kept, dropped = [], []
     for t in ra.outgoing(c.loc):
-        if not eval_guard(ra.signature, t.guard, c.valuation, input_atom):
+        if not eval_guard(t.guard, c.valuation, input_atom):
             continue
         images = {}
         for reg, ref in t.assign:
@@ -317,7 +303,7 @@ def _ranked(vals: tuple, a) -> tuple:
 def _locator(ra: RegisterAutomaton):
     """How `_successors` names an orbit, as `(code, renaming target)`.
     Equality needs the full order type only when an (unvalidated) guard
-    compares with `lt`, which `Signature.holds` evaluates; renaming needs it
+    compares with `lt`, which `holds` evaluates; renaming needs it
     because its valuations need not be injective."""
     if ra.sym is SymmetryId.TOTAL_ORDER:
         return _between

@@ -25,9 +25,7 @@ SYMS = (A.SymmetryId.EQUALITY, A.SymmetryId.TOTAL_ORDER, A.SymmetryId.RENAMING)
 # --- generators ---
 
 def pool_atoms(sym, n: int) -> A.Support:
-    if sym.rational_atoms:
-        return A.Support.of(Fraction(k) for k in range(n))
-    return A.Support.of(range(n))
+    return A.Support.of(A.fresh_atoms(sym, A.EMPTY_SUPPORT, n))
 
 
 def random_support(rng: Random, sym, pool: A.Support, max_size: int) -> A.Support:

@@ -240,21 +240,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _shared_options(defaults: bool) -> argparse.ArgumentParser:
-    # The shared options may appear before or after the subcommand.  The
-    # subcommand copies carry a SUPPRESS default so they never clobber a
-    # value given up front; real defaults live on the top-level copy only.
+    # --format may appear before or after the subcommand.  The subcommand
+    # copy carries a SUPPRESS default so it never clobbers a value given up
+    # front; the real default lives on the top-level copy only.
     p = _Parser(add_help=False)
-    sup = argparse.SUPPRESS
     p.add_argument("--format", choices=("text", "json"),
-                   default="text" if defaults else sup)
-    p.add_argument("--seed", type=int, default=0 if defaults else sup)
-    p.add_argument("--pool", type=_non_negative, default=None if defaults else sup,
-                   help="atom pool size override")
+                   default="text" if defaults else argparse.SUPPRESS)
     return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = _shared_options(defaults=False)
+    pooled = _Parser(add_help=False, parents=[common])
+    pooled.add_argument("--pool", type=_non_negative, help="atom pool size override")
     parser = _Parser(
         prog="suppsets",
         description="Supported sets, quotient presentations, binding, and register automata.",
@@ -272,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("word", help="file with one atom per line")
     p.set_defaults(fn=_cmd_run)
 
-    p = sub.add_parser("orbits", parents=[common],
+    p = sub.add_parser("orbits", parents=[pooled],
                        help="count orbits of reachable configurations")
     p.add_argument("automaton")
     p.add_argument("--depth", type=_non_negative, default=3)
@@ -294,25 +292,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quot", help="queries on a presented quotient")
     quo = p.add_subparsers(dest="quot_op", required=True)
-    q = quo.add_parser("eq", parents=[common],
+    q = quo.add_parser("eq", parents=[pooled],
                        help="class equality of two extension elements")
     q.add_argument("presentation")
     q.add_argument("elem", help="extension element as inline JSON")
     q.add_argument("elem2", help="extension element as inline JSON")
     q.set_defaults(fn=_cmd_quot)
-    q = quo.add_parser("count", parents=[common], help="class count over the pool")
+    q = quo.add_parser("count", parents=[pooled], help="class count over the pool")
     q.add_argument("presentation")
     q.set_defaults(fn=_cmd_quot)
-    q = quo.add_parser("orbits", parents=[common], help="orbit count over the pool")
+    q = quo.add_parser("orbits", parents=[pooled], help="orbit count over the pool")
     q.add_argument("presentation")
     q.set_defaults(fn=_cmd_quot)
-    q = quo.add_parser("supp", parents=[common],
+    q = quo.add_parser("supp", parents=[pooled],
                        help="least support of an extension element")
     q.add_argument("presentation")
     q.add_argument("elem", help="extension element as inline JSON")
     q.set_defaults(fn=_cmd_quot)
 
     p = sub.add_parser("selfcheck", parents=[common], help="run every property suite")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=_non_negative, default=1, help="trial multiplier; 0 runs nothing")
     p.set_defaults(fn=_cmd_selfcheck)
 
@@ -321,15 +320,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    parser, args = build_parser(), argparse.Namespace()
     try:
-        args = build_parser().parse_args(argv)
+        # parsed into `args` so that the subcommand is known when a later argument fails
+        _, extra = parser.parse_known_args(argv, args)
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except _UsageError as exc:
-        parser, message = exc.args
+        failed, message = exc.args
         if "--format=json" not in argv and ("--format", "json") not in zip(argv, argv[1:]):
-            argparse.ArgumentParser.error(parser, message)  # usage on stderr, exit 2
-        command = parser.prog.split()[1:2]  # "suppsets quot count" -> ["quot"]
-        args = argparse.Namespace(format="json", command=command[0] if command else None)
-        errors = [message]
+            argparse.ArgumentParser.error(failed, message)  # usage on stderr, exit 2
+        args.format, errors = "json", [message]
     else:
         try:
             return args.fn(args)

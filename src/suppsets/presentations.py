@@ -78,13 +78,12 @@ class QuotElem:
     presentation: FinPresentation
     rep: ExtElem
 
-    def same_class(self, other: "QuotElem", pool: "AtomPool" = None) -> bool:
-        """Exact under a group symmetry, where the pool (by default
-        `default_pool` of the two representatives) only has to cover
-        them; decided over the pool under renaming."""
+    def same_class(self, other: "QuotElem") -> bool:
+        """`quot_eq` over `default_pool` of the two representatives: exact
+        under a group symmetry, decided over that pool under renaming."""
         if self.presentation != other.presentation:
             return False
-        pool = pool or default_pool(self.presentation, [self.rep, other.rep])
+        pool = default_pool(self.presentation, [self.rep, other.rep])
         return quot_eq(self.presentation, self.rep, other.rep, pool)
 
 

@@ -325,7 +325,7 @@ def suppset_to_json(X: SuppSet) -> dict:
     }
 
 
-def suppset_from_json(d: dict, sym: SymmetryId = None) -> SuppSet:
+def suppset_from_json(d: dict, sym: SymmetryId) -> SuppSet:
     return SuppSet.of(
         [(e["id"], Support.of(atom_from_json(a, sym) for a in e["support"]))
          for e in d["elements"]]

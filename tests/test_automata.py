@@ -35,9 +35,9 @@ from suppsets.automata import (
     act_config,
     automaton_from_json,
     automaton_to_json,
-    default_signature,
     determinize_generic,
     eval_guard,
+    holds,
     initial_config,
     make_transition,
     reachable_configs,
@@ -107,6 +107,17 @@ class TestValidate:
         t = make_transition("q0", g, "q0", {})
         report = validate(RegisterAutomaton(EQ, locs, "q0", frozenset(), (t,)))
         assert any("unknown relation" in e for e in report.errors)
+
+    @pytest.mark.parametrize("sym", [EQ, ORD, SymmetryId.RENAMING])
+    def test_relations_of_the_symmetry(self, sym):
+        """`lt` is a guard relation under total order only; both are binary."""
+        locs = SuppSet.of([("q0", Support())])
+        report = validate(RegisterAutomaton(sym, locs, "q0", frozenset(), (
+            make_transition("q0", Guard((Literal(True, "lt", (INPUT, INPUT)),)), "q0", {}),
+            make_transition("q0", Guard((Literal(True, "eq", (INPUT,)),)), "q0", {}),
+        )))
+        lt_error = () if sym is ORD else ("transition 0 ('q0' -> 'q0'): unknown relation 'lt'",)
+        assert report.errors == (*lt_error, "transition 1 ('q0' -> 'q0'): relation 'eq' expects 2 arguments")
 
     def test_assignment_must_cover_target(self):
         locs = SuppSet.of([("q0", Support()), ("q1", Support.of([0]))])
@@ -181,31 +192,27 @@ class TestBinderEncoding:
 
 class TestEvalGuard:
     def test_eq_literal(self):
-        sig = default_signature(EQ)
         val = RestrictedMap(EQ, FiniteMap.of({0: 5}))
         g = Guard((Literal(True, "eq", (INPUT, Reg(0))),))
-        assert eval_guard(sig, g, val, 5)
-        assert not eval_guard(sig, g, val, 3)
+        assert eval_guard(g, val, 5)
+        assert not eval_guard(g, val, 3)
 
     def test_negation(self):
-        sig = default_signature(EQ)
         val = RestrictedMap(EQ, FiniteMap.of({0: 5}))
         g = Guard((Literal(False, "eq", (INPUT, Reg(0))),))
-        assert not eval_guard(sig, g, val, 5)
+        assert not eval_guard(g, val, 5)
 
     def test_order_literal(self):
-        sig = default_signature(ORD)
         val = RestrictedMap(ORD, FiniteMap.of({Fraction(0): Fraction(1, 2)}))
         g = Guard((Literal(True, "lt", (Reg(Fraction(0)), INPUT)),))
-        assert eval_guard(sig, g, val, Fraction(2))
-        assert not eval_guard(sig, g, val, Fraction(1, 4))
+        assert eval_guard(g, val, Fraction(2))
+        assert not eval_guard(g, val, Fraction(1, 4))
 
     def test_unresolved_register(self):
-        sig = default_signature(EQ)
         val = RestrictedMap(EQ, FiniteMap.of({}))
         g = Guard((Literal(True, "eq", (INPUT, Reg(0))),))
         with pytest.raises(UnresolvedRegister):
-            eval_guard(sig, g, val, 1)
+            eval_guard(g, val, 1)
 
 
 class TestStep:
@@ -686,7 +693,7 @@ class TestCompiledStepMatchesOracle:
         got = outcome(step_full, ra, c, a)
         assert got == outcome(oracle_step_full, ra, c, a)
         for t in ra.outgoing(c.loc):
-            assert (outcome(eval_guard, ra.signature, t.guard, c.valuation, a)
+            assert (outcome(eval_guard, t.guard, c.valuation, a)
                     == outcome(oracle_eval_guard, t.guard, c.valuation, a))
         return got
 
@@ -707,8 +714,7 @@ class TestCompiledStepMatchesOracle:
     @pytest.mark.parametrize("name, args", [("eq", (1, 1)), ("eq", (1, 2)), ("lt", (1, 2)), ("lt", (2, 1)),
                                             ("between", (1, 2)), ("eq", (1,)), ("lt", (1, 2, 0))])
     def test_signature_holds(self, name, args):
-        for sym in (EQ, ORD):
-            assert outcome(default_signature(sym).holds, name, args) == outcome(_oracle_holds, name, args)
+        assert outcome(holds, name, args) == outcome(_oracle_holds, name, args)
 
     def test_exceptions_are_exercised(self):
         """Each exception the comparison is meant to cover is raised on a
@@ -808,6 +814,28 @@ class TestOrbitMemoMatchesOracle:
         words = [[rng.choice(pool) for _ in range(rng.randint(0, 8))] for _ in range(60)]
         words += [[rng.choice(pool) for _ in range(rng.randint(20, 40))] for _ in range(2)]
         self.compare_runs(ra, [{q} for q in ra.locations.elements], words)
+
+    @pytest.mark.parametrize("sym", [EQ, ORD])
+    def test_stay_is_stepped_after_the_frontier_changes(self, sym):
+        """`q1` stays on a letter new to its register and `q2` leaves on
+        one.  On `5 6 5 7`, `6` records the new-letter position as a stay
+        at `q1`; `5` moves the frontier to `q2` with the same values, and
+        `7`, in that position again, must be stepped to `acc`."""
+        locs = SuppSet.of([("q0", Support()), ("q1", Support.of([0])), ("q2", Support.of([0])),
+                           ("acc", Support())])
+        same, other = Guard((Literal(True, "eq", (INPUT, Reg(0))),)), Guard((Literal(False, "eq", (INPUT, Reg(0))),))
+        ts = (
+            make_transition("q0", TRUE_GUARD, "q1", {0: INPUT}),
+            make_transition("q1", other, "q1", {0: Reg(0)}),
+            make_transition("q1", same, "q2", {0: Reg(0)}),
+            make_transition("q2", same, "q2", {0: Reg(0)}),
+            make_transition("q2", other, "acc", {}),
+        )
+        ra = RegisterAutomaton(sym, locs, "q0", frozenset(["acc"]), ts)
+        assert validate(ra).ok
+        word = [5, 6, 5, 7]
+        assert run(ra, word) and not run(ra, word[:3])
+        self.compare_runs(ra, [{q} for q in ra.locations.elements], [word, word + [5, 6]])
 
     @settings(max_examples=200, deadline=None)
     @given(perturbed_automata(), st.integers(3, 5), st.integers(0, 3))

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from suppsets.cli import main
+from suppsets.cli import build_parser, main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 FIRST_REPEAT = str(DATA / "first_repeat.json")
@@ -352,6 +353,9 @@ class TestUsageErrorsAsJson:
         (["--format", "json", "quot", "count", PAIRS, "--pool", "x"], "quot"),
         (["quot", "count", PAIRS, "--format=json", "--pool", "x"], "quot"),
         (["--format", "json"], None),
+        (["--format", "json", "run", FIRST_REPEAT, str(DATA / "word_repeat.txt"), "--seed", "1"], "run"),
+        (["--format", "json", "validate", FIRST_REPEAT, "--pool", "3"], "validate"),
+        (["--format", "json", "quot", "count", PAIRS, "extra"], "quot"),
     ])
     def test_error_list(self, capsys, argv, command):
         code, out, err = run_cli(capsys, *argv)
@@ -371,6 +375,71 @@ class TestUsageErrorsAsJson:
         out = capsys.readouterr()
         assert exc.value.code == 2 and out.out == ""
         assert out.err.startswith("usage: suppsets quot count")
+
+
+def _leaf_parsers(parser, path=()):
+    """`(command path, parser)` for every parser that takes no subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for a in subs:
+        for name, p in a.choices.items():
+            yield from _leaf_parsers(p, (*path, name))
+
+
+LEAVES = dict(_leaf_parsers(build_parser()))
+POOLED = {("orbits",), ("quot", "eq"), ("quot", "count"), ("quot", "orbits"), ("quot", "supp")}
+LEAF_ARGV = {
+    ("validate",): ["validate", FIRST_REPEAT],
+    ("run",): ["run", FIRST_REPEAT, str(DATA / "word_repeat.txt")],
+    ("orbits",): ["orbits", FIRST_REPEAT],
+    ("lambda", "to-db"): ["lambda", "to-db", "v0"],
+    ("lambda", "from-db"): ["lambda", "from-db", "#0"],
+    ("lambda", "alpha-eq"): ["lambda", "alpha-eq", "v0", "v0"],
+    ("quot", "eq"): ["quot", "eq", PAIRS, PAIR_TEXT, PAIR_TEXT],
+    ("quot", "count"): ["quot", "count", PAIRS],
+    ("quot", "orbits"): ["quot", "orbits", PAIRS],
+    ("quot", "supp"): ["quot", "supp", PAIRS, PAIR_TEXT],
+    ("selfcheck",): ["selfcheck", "--budget", "0"],
+}
+
+
+class TestOptionScoping:
+    """Each command accepts the options it reads and rejects the rest."""
+
+    def test_options_per_parser(self):
+        assert set(LEAVES) == set(LEAF_ARGV)
+        for path, parser in [((), build_parser()), *LEAVES.items()]:
+            flags = {f for a in parser._actions for f in a.option_strings}
+            assert "--format" in flags
+            assert ("--seed" in flags) == (path == ("selfcheck",))
+            assert ("--pool" in flags) == (path in POOLED)
+
+    @FORMATS
+    @pytest.mark.parametrize("argv", [
+        *[LEAF_ARGV[path] + ["--seed", "1"] for path in LEAF_ARGV if path != ("selfcheck",)],
+        *[LEAF_ARGV[path] + ["--pool", "3"] for path in LEAF_ARGV if path not in POOLED],
+        ["--seed", "1", "selfcheck", "--budget", "0"],
+        ["--pool", "3", "quot", "count", PAIRS],
+    ])
+    def test_removed_slots_are_usage_errors(self, capsys, fmt, argv):
+        if fmt:
+            code, out, err = run_cli(capsys, *fmt, *argv)
+            doc = json.loads(out)
+            assert code == 2 and err == "" and len(doc["errors"]) == 1
+            assert doc["command"] == (None if argv[0].startswith("--") else argv[0])
+            return
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert out.err.startswith("usage: suppsets") and "Traceback" not in out.err
+
+    @pytest.mark.parametrize("path", sorted(LEAF_ARGV))
+    def test_accepted_argv(self, capsys, path):
+        """The argv above parse: each removed slot is the only error."""
+        code, _, err = run_cli(capsys, *LEAF_ARGV[path])
+        assert code == 0 and err == ""
 
 
 DEEP = 10_000
