@@ -30,6 +30,13 @@ letters in one position among those values step it alike.  Once a letter
 leaves the frontier unchanged, every later letter in its position is
 skipped until the frontier changes, at the cost of one locator call and
 one set lookup.
+
+It applies the argument to each configuration too, which its own values
+support: every letter that is none of them (new under equality, in a gap
+under total order) steps it alike.  A configuration is inert when those
+letters keep it as it is: `run` indexes inert configurations by value and
+steps each only on a letter it holds, and steps the others on every letter.
+Under renaming no position is off the values, so nothing is inert.
 """
 
 from __future__ import annotations
@@ -360,9 +367,36 @@ def step(ra: RegisterAutomaton, c: Config, input_atom: Atom) -> tuple:
     return ConfigAutomaton(ra).successor((c,), input_atom)
 
 
+def _inert(ra: RegisterAutomaton, loc, regs: tuple, memo: dict) -> bool:
+    """Whether every letter that is none of a key's values at `(loc, regs)`
+    steps the key to itself alone: its templates at each such position are
+    `(None,)`.  That is one position under `_among` (code k) and the k+1
+    gaps under `_between`; `_ranked` names no such position, so its keys
+    are never inert.  The templates go through `memo` as `_successors`
+    would build them; a position whose step raises makes the key active,
+    so that the step raises where the letter is read."""
+    k = len(regs)
+    if ra._locate is _among:
+        positions = [(k, list(range(k + 1)))]
+    elif ra._locate is _between:
+        positions = [(2 * p, [*range(p), *range(p + 1, k + 1), p]) for p in range(k + 1)]
+    else:
+        return False
+    for code, ranks in positions:
+        mkey = (loc, regs, code)
+        succs = memo.get(mkey)
+        if succs is None:
+            try:
+                succs = memo[mkey] = _orbit_step(ra, loc, regs, ranks)
+            except Exception:
+                return False
+        if succs != (None,):
+            return False
+    return True
+
+
 def run(ra: RegisterAutomaton, word: Iterable[Atom]) -> bool:
     """Breadth-first subset tracking; accept when a final location is live.
-    The frontier holds keys in discovery order.
 
     The frontier is supported by `values`, its configurations' values.  A
     letter's position among them (`ra._locate`) fixes its position among
@@ -371,31 +405,60 @@ def run(ra: RegisterAutomaton, word: Iterable[Atom]) -> bool:
     a step leaves the frontier as it was, `stays` records the position, and
     every later letter there costs its domain check, one locator call and
     one set lookup, with no step.  A frontier that changes starts a new
-    `stays`; `stays` and the per-orbit memo live for this call.  When a
-    letter raises, it is replayed on the frontier's configurations in
-    `_config_key` order, so the first of them to raise decides which error
-    the caller sees."""
-    memo = {}
-    frontier = [_key(initial_config(ra))]
-    values, stays = (), set()
+    `stays`.
+
+    By the same argument a single key is moved only by a letter among its
+    own values when every other position keeps it as it is (`_inert`).
+    Such keys sit in `inert`, indexed by value in `holders`; the rest are
+    `active`.  A letter steps `active` and the inert keys that hold it, and
+    the other inert keys carry over untouched.  `stays`, `holders` and the
+    memos live for this call.  When a letter raises, it is replayed on the
+    whole frontier's configurations in `_config_key` order, so the first of
+    them to raise decides which error the caller sees."""
+    memo, inert_at = {}, {}
+    active, inert, holders = [_key(initial_config(ra))], {}, {}
+    values, stays = None, set()  # `values` is built when the frontier first stays
     locate = ra._locate
     for a in word:
         check_atom(ra.sym, a)
-        code = locate(values, a)[0]
-        if code in stays:
+        if stays and locate(values, a)[0] in stays:
             continue
+        touched = list(holders.get(a, ()))
         try:
-            succs = _successors(ra, frontier, (a,), memo)
+            succs = _successors(ra, active + touched, (a,), memo)
         except Exception:
-            for c in _configs(ra, frontier):
+            for c in _configs(ra, [*active, *inert]):
                 step_full(ra, c, a)
             raise
+        next_active, kept, changed = [], set(), False
+        for key in succs:
+            loc, regs, vals = key
+            is_inert = inert_at.get((loc, regs))
+            if is_inert is None:
+                is_inert = inert_at[loc, regs] = _inert(ra, loc, regs, memo)
+            if not is_inert:
+                next_active.append(key)
+            elif key in inert:
+                kept.add(key)
+            else:
+                inert[key], changed = None, True
+                for v in vals:
+                    holders.setdefault(v, {})[key] = None
+        for key in touched:
+            if key not in kept:
+                del inert[key]
+                changed = True
+                for v in key[2]:
+                    del holders[v][key]
         # both lists are without repeats: same length, then the same keys in any order
-        if len(succs) == len(frontier) and (succs == frontier or set(succs) == set(frontier)):
-            stays.add(code)
-        else:  # distinct and increasing: `_between` needs it, `_among` and `_ranked` accept it
-            frontier, values, stays = succs, tuple(sorted({v for _, _, vals in succs for v in vals})), set()
-    return any(loc in ra.final for loc, _, _ in frontier)
+        if not changed and len(next_active) == len(active) and (
+                next_active == active or set(next_active) == set(active)):
+            if values is None:  # distinct and increasing: `_between` needs it, the others accept it
+                values = tuple(sorted({v for _, _, vals in (*active, *inert) for v in vals}))
+            stays.add(locate(values, a)[0])
+        else:
+            active, values, stays = next_active, None, set()
+    return any(loc in ra.final for loc, _, _ in (*active, *inert))
 
 
 def act_config(g: GlobalMap, c: Config) -> Config:

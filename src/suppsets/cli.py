@@ -235,6 +235,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Reports errors to `main`, and takes no abbreviated option, so that
+    JSON mode is set by `--format json` exactly as `main` reads it."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise _UsageError(self, message)
 
@@ -259,6 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[_shared_options(defaults=True)],
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("validate", parents=[common],
                        help="check a register automaton's coherence conditions")
@@ -318,6 +325,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _option_before_command(argv: list, commands) -> tuple:
+    """The first option before the subcommand other than `--format` and help,
+    which are all the top-level parser reads, and the subcommand (None if
+    none follows).  argparse sets such an option aside and reads its value
+    as the subcommand."""
+    option = None
+    for arg in argv:
+        if arg in commands:
+            return option, arg
+        flag = arg.split("=")[0]
+        if option is None and flag.startswith("-") and flag not in ("--format", "-h", "--help"):
+            option = flag
+    return option, None
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, args = build_parser(), argparse.Namespace()
@@ -328,6 +350,10 @@ def main(argv=None) -> int:
             parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except _UsageError as exc:
         failed, message = exc.args
+        if failed is parser:
+            option, command = _option_before_command(argv, parser.commands)
+            if option:
+                message, args.command = f"option {option} before the subcommand: only --format may come first", command
         if "--format=json" not in argv and ("--format", "json") not in zip(argv, argv[1:]):
             argparse.ArgumentParser.error(failed, message)  # usage on stderr, exit 2
         args.format, errors = "json", [message]

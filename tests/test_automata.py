@@ -1049,3 +1049,116 @@ class TestOneStepPerOrbit:
             run(ra, [rng.choice(atoms) for _ in range(n)])
             assert steps[("s2", Support.of([0, 1]))] > 1
             assert all(m <= 2 * len(dom) + 1 for (_, dom), m in steps.items())
+
+
+def spy_successors(monkeypatch):
+    """Record `(keys, letters, result)` for every `_successors` call."""
+    calls = []
+    inner = automata_module._successors
+
+    def spied(ra, keys, letters, memo):
+        keys = list(keys)
+        got = inner(ra, keys, letters, memo)
+        calls.append((keys, letters, got))
+        return got
+
+    monkeypatch.setattr(automata_module, "_successors", spied)
+    return calls
+
+
+def successor_states(ra, word) -> list:
+    """The configuration automaton's states along `word`, by `successor`."""
+    states = [(initial_config(ra),)]
+    for a in word:
+        states.append(ConfigAutomaton(ra).successor(states[-1], a))
+    return states
+
+
+class TestInertKeys:
+    """An inert key, which every letter outside its values keeps as it is,
+    is stepped only on a letter it holds; the others on every letter."""
+
+    @pytest.mark.parametrize("symmetry", ["equality", "total-order"])
+    def test_wide_words_step_the_keys_that_hold_the_letter(self, monkeypatch, symmetry):
+        """On a new letter only `s0` (which stores it) and `s1` (which adds
+        it as a second register) change; `s2`, `s3` and `acc` keep every key
+        there as it is, so their keys are handed in only on a letter they
+        hold."""
+        ra = guess_store_automaton(symmetry)
+        rng = Random(13)
+        atoms = rng.sample(range(1000), 20)
+        words = [[rng.choice(atoms) for _ in range(100)] for _ in range(3)]
+        for word in words:
+            states = successor_states(ra, word)
+            calls = spy_successors(monkeypatch)
+            accepted = run(ra, word)
+            monkeypatch.undo()
+            assert accepted and any(c.loc == "acc" for c in states[-1])
+            for keys, (a,), _ in calls:
+                assert all(loc in ("s0", "s1") or a in vals for loc, _, vals in keys)
+            handed, frontiers = sum(len(keys) for keys, _, _ in calls), sum(map(len, states[:-1]))
+            assert frontiers > 10_000 and handed < frontiers / 4
+
+    @staticmethod
+    def leaving_automaton(symmetry):
+        """`guess_store_automaton` whose `s2` keeps its pair only on an input
+        other than the first register, where it moves on to `s3`: `s2` is
+        inert, and a touched `s2` key leaves the frontier (`s1` cannot add it
+        back, as storing its own value is inadmissible)."""
+        ra = guess_store_automaton(symmetry)
+        keep_unless_r0 = Guard((Literal(False, "eq", (INPUT, Reg(0))),))
+        ts = tuple(Transition(t.source, keep_unless_r0, t.target, t.assign) if (t.source, t.target) == ("s2", "s2")
+                   else t for t in ra.transitions)
+        return RegisterAutomaton(ra.sym, ra.locations, ra.initial, ra.final, ts)
+
+    @pytest.mark.parametrize("symmetry", ["equality", "total-order"])
+    def test_a_touched_inert_key_leaves(self, monkeypatch, symmetry):
+        ra = self.leaving_automaton(symmetry)
+        assert validate(ra).ok
+        rng = Random(17)
+        atoms = rng.sample(range(100), 8)
+        words = [[rng.choice(atoms) for _ in range(30)] for _ in range(3)]
+        calls = spy_successors(monkeypatch)
+        TestOrbitMemoMatchesOracle.compare_runs(ra, [{"s2"}, {"s3"}, {"acc"}], words)
+        left = [k for keys, _, got in calls for k in keys if k[0] == "s2" and k not in got]
+        assert left
+
+    def test_renaming_keys_are_never_inert(self, monkeypatch):
+        """Under renaming every call hands in the whole frontier: the result
+        of the last call that changed it."""
+        ra = guess_store_automaton("renaming")
+        rng = Random(19)
+        atoms = rng.sample(range(100), 6)
+        words = [[rng.choice(atoms) for _ in range(30)] for _ in range(4)]
+        for word in words:
+            calls = spy_successors(monkeypatch)
+            assert run(ra, word) == oracle_run(ra, word)
+            monkeypatch.undo()
+            frontier = {automata_module._key(initial_config(ra))}
+            for keys, _, got in calls:
+                assert set(keys) == frontier
+                frontier = set(got)
+
+    @pytest.mark.parametrize("sym", [EQ, ORD])
+    def test_error_with_inert_keys_live(self, sym):
+        """`a` keeps a key on every letter outside its register, so it is
+        inert; on its register's value a guard reads a missing register.
+        `z` is active and raises on its register's value too, another error.
+        After `4 5`, the letter `5` touches `a(5)`, not `a(4)`, and is handed
+        `z` first: the replay in `_config_key` order lets `a(5)` decide."""
+        locs = SuppSet.of([("p", Support()), ("a", Support.of([0])), ("z", Support.of([0])), ("y", Support())])
+        on_r0 = Literal(True, "eq", (INPUT, Reg(0)))
+        ts = (
+            make_transition("p", TRUE_GUARD, "p", {}),
+            make_transition("p", TRUE_GUARD, "a", {0: INPUT}),
+            make_transition("p", TRUE_GUARD, "z", {0: INPUT}),
+            make_transition("a", Guard((Literal(False, "eq", (INPUT, Reg(0))),)), "a", {0: Reg(0)}),
+            make_transition("a", Guard((on_r0, Literal(True, "eq", (INPUT, Reg(3))))), "a", {0: Reg(0)}),
+            make_transition("z", TRUE_GUARD, "y", {}),
+            make_transition("z", Guard((on_r0, Literal(True, "between", (INPUT, Reg(0))))), "z", {0: Reg(0)}),
+        )
+        ra = RegisterAutomaton(sym, locs, "p", frozenset(["y"]), ts)
+        assert automata_module._inert(ra, "a", (0,), {}) and not automata_module._inert(ra, "z", (0,), {})
+        for word, want in (([4, 5, 5], (UnresolvedRegister, "3")), ([4, 5, 6], ("ok", True)),
+                           ([4, 5, 6, 4], (UnresolvedRegister, "3"))):
+            assert outcome(run, ra, word) == outcome(oracle_run, ra, word) == want

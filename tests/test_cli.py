@@ -356,6 +356,9 @@ class TestUsageErrorsAsJson:
         (["--format", "json", "run", FIRST_REPEAT, str(DATA / "word_repeat.txt"), "--seed", "1"], "run"),
         (["--format", "json", "validate", FIRST_REPEAT, "--pool", "3"], "validate"),
         (["--format", "json", "quot", "count", PAIRS, "extra"], "quot"),
+        (["--format", "json", "--seed", "1", "selfcheck"], "selfcheck"),
+        (["--format", "json", "--seed", "1"], None),
+        (["--format", "json", "orbits", FIRST_REPEAT, "--dep", "2"], "orbits"),
     ])
     def test_error_list(self, capsys, argv, command):
         code, out, err = run_cli(capsys, *argv)
@@ -368,6 +371,23 @@ class TestUsageErrorsAsJson:
         assert json.loads(out)["errors"] == ["argument --pool: expected a non-negative integer, got 'x'"]
         _, out, _ = run_cli(capsys, "--format", "json")
         assert json.loads(out)["errors"] == ["the following arguments are required: command"]
+        _, out, _ = run_cli(capsys, "--format", "json", "--pool=3", "quot", "count", PAIRS)
+        assert json.loads(out)["errors"] == ["option --pool before the subcommand: only --format may come first"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--form", "json", "validate", FIRST_REPEAT],
+        ["--form", "json", "validate", FIRST_REPEAT, "--pool", "3"],
+        ["validate", FIRST_REPEAT, "--form", "json"],
+        ["validate", FIRST_REPEAT, "--form=json", "--pool", "3"],
+    ])
+    def test_abbreviations_are_refused(self, capsys, argv):
+        """An abbreviated option is unknown, so `--form json` never sets JSON
+        mode, whether or not another argument is wrong too."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert out.err.startswith("usage: suppsets") and "--form" in out.err
 
     def test_text_mode_keeps_the_usage_message(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -427,7 +447,9 @@ class TestOptionScoping:
             code, out, err = run_cli(capsys, *fmt, *argv)
             doc = json.loads(out)
             assert code == 2 and err == "" and len(doc["errors"]) == 1
-            assert doc["command"] == (None if argv[0].startswith("--") else argv[0])
+            before = argv[0].startswith("--")  # the option comes before the subcommand
+            assert doc["command"] == (argv[2] if before else argv[0])
+            assert (argv[0] if before else argv[-2]) in doc["errors"][0]
             return
         with pytest.raises(SystemExit) as exc:
             main(argv)
