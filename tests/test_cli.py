@@ -359,6 +359,8 @@ class TestUsageErrorsAsJson:
         (["--format", "json", "--seed", "1", "selfcheck"], "selfcheck"),
         (["--format", "json", "--seed", "1"], None),
         (["--format", "json", "orbits", FIRST_REPEAT, "--dep", "2"], "orbits"),
+        (["--format", "json", "quot", "--pool", "3", "count", PAIRS], "quot"),
+        (["--format", "json", "lambda", "--pool", "3", "to-db", r"\v0. v0"], "lambda"),
     ])
     def test_error_list(self, capsys, argv, command):
         code, out, err = run_cli(capsys, *argv)
@@ -373,6 +375,18 @@ class TestUsageErrorsAsJson:
         assert json.loads(out)["errors"] == ["the following arguments are required: command"]
         _, out, _ = run_cli(capsys, "--format", "json", "--pool=3", "quot", "count", PAIRS)
         assert json.loads(out)["errors"] == ["option --pool before the subcommand: only --format may come first"]
+
+    @pytest.mark.parametrize("argv, command", [
+        (["--format", "json", "quot", "--pool", "3", "count", PAIRS], "quot"),
+        (["--format", "json", "quot", "--pool=3", "count", PAIRS], "quot"),
+        (["--format", "json", "lambda", "--pool", "3", "to-db", r"\v0. v0"], "lambda"),
+    ])
+    def test_option_before_a_nested_subcommand(self, capsys, argv, command):
+        """`quot` and `lambda` set `--pool` aside too, and would read `3` as
+        their subcommand: the message names the option, not its value."""
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 2 and json.loads(out)["errors"] == [
+            f"option --pool before the subcommand: no option may come between {command} and its subcommand"]
 
     @pytest.mark.parametrize("argv", [
         ["--form", "json", "validate", FIRST_REPEAT],
