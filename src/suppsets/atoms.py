@@ -95,6 +95,7 @@ class Support:
 
 
 EMPTY_SUPPORT = Support()
+_ABSENT = object()  # what `FiniteMap.get` hands `__call__` for an atom outside the domain
 
 
 @dataclass(frozen=True)
@@ -124,10 +125,10 @@ class FiniteMap:
         return Support.of(b for _, b in self.entries)
 
     def __call__(self, a: Atom) -> Atom:
-        for k, v in self.entries:
-            if k == a:
-                return v
-        raise KeyError(a)
+        b = self.get(a, _ABSENT)
+        if b is _ABSENT:
+            raise KeyError(a)
+        return b
 
     def get(self, a: Atom, default=None):
         for k, v in self.entries:
@@ -374,20 +375,14 @@ def lock_free_witness(sym: SymmetryId, fixed: Support, a: Atom) -> GlobalMap:
 
 def fresh(sym: SymmetryId, avoid: Support) -> Atom:
     """An atom outside `avoid`: smallest unused natural, or max+1 for rationals."""
-    if sym.rational_atoms:
-        return (max(avoid) + 1) if len(avoid) else Fraction(0)
-    n = 0
-    used = set(avoid)
-    while n in used:
-        n += 1
-    return n
+    return fresh_atoms(sym, avoid, 1)[0]
 
 
 def fresh_atoms(sym: SymmetryId, avoid: Support, count: int) -> list:
     """The first `count` atoms that repeated `fresh` calls would pick, each
     avoiding `avoid` and the ones before it; none when `count` <= 0."""
     if sym.rational_atoms:
-        first = fresh(sym, avoid)
+        first = (max(avoid) + 1) if len(avoid) else Fraction(0)
         return [first + i for i in range(count)]
     out, used, n = [], set(avoid), 0
     while len(out) < count:

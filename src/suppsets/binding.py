@@ -131,9 +131,16 @@ def _fold(t, form: _Form, leaf, app, lam, enter=lambda t: None):
     return done[0]
 
 
+def _free(t, form: _Form) -> Support:
+    """The ambient atoms a term refers to: a leaf whose de Bruijn index i is
+    at least its binder depth d refers to the atom i - d."""
+    free = _fold(t, form, lambda _, i, d: {i - d} if i >= d else set(), _union, lambda _, body: body)
+    return Support.of(free)
+
+
 def free_atoms(t) -> Support:
-    """Free variables of a named term: the ambient atoms of its de Bruijn form."""
-    return db_free_indices(to_debruijn(t))
+    """Free variables of a named term, read off its leaves in one fold."""
+    return _free(t, _NAMED)
 
 
 def act_term(g: GlobalMap, t):
@@ -241,9 +248,9 @@ def to_debruijn(t):
 
 
 def db_free_indices(t) -> Support:
-    """Ambient atoms referenced by a de Bruijn term (indices shifted back)."""
-    free = _fold(t, _DB, lambda n, _, d: {n - d} if n >= d else set(), _union, lambda _, body: body)
-    return Support.of(free)
+    """Ambient atoms referenced by a de Bruijn term: an index n below its
+    binder depth d is bound, and one at least d refers to the atom n - d."""
+    return _free(t, _DB)
 
 
 def _union(a: set, b: set) -> set:

@@ -355,9 +355,7 @@ def main(argv=None) -> int:
     parser, args = build_parser(), argparse.Namespace()
     try:
         # parsed into `args` so that the subcommand is known when a later argument fails
-        _, extra = parser.parse_known_args(argv, args)
-        if extra:
-            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        parser.parse_args(argv, args)
     except _UsageError as exc:
         failed, message = exc.args
         if hasattr(failed, "commands"):

@@ -138,8 +138,8 @@ def quot_classes(P: FinPresentation, pool: AtomPool):
     place in the universe.  An equation instance is an admissible tuple of
     positions for the equation's atoms; each side reads its positions off
     that tuple.  An admissible map after an admissible reassignment is
-    admissible, so every instance is an element of the universe.  The
-    unions come in the order of `_instance_pairs`.
+    admissible, so every instance is an element of the universe.  Each
+    instance is one `UnionFind.union`, in the order of `_instance_pairs`.
 
     Returns (universe, labels) where labels maps each element's key to the
     key of its class's representative.
@@ -150,24 +150,14 @@ def quot_classes(P: FinPresentation, pool: AtomPool):
     for x, s in P.generators.items:
         for t in admissible_targets(P.sym, len(s), positions):
             index[x, t] = len(index)
-    parent = list(range(len(index)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    uf = UnionFind(range(len(index)))
     for lhs, rhs in P.equations:
         dom = ext_support(lhs).union(ext_support(rhs)).atoms
         pick_l, pick_r = (_picker([dom.index(b) for _, b in e.pi.images.entries]) for e in (lhs, rhs))
         for t in admissible_targets(P.sym, len(dom), positions):
-            a = find(index[lhs.base, pick_l(t)])
-            b = find(index[rhs.base, pick_r(t)])
-            if a != b:
-                parent[b] = a
+            uf.union(index[lhs.base, pick_l(t)], index[rhs.base, pick_r(t)])
     keys = [_ext_key(e) for e in universe]
-    return universe, {k: keys[find(i)] for i, k in enumerate(keys)}
+    return universe, {k: keys[uf.find(i)] for i, k in enumerate(keys)}
 
 
 def _require_in_pool(P: FinPresentation, pool: AtomPool, *elems: ExtElem):

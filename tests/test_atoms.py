@@ -287,6 +287,22 @@ class TestFresh:
         a = fresh(ORD, avoid)
         assert a == Fraction(7, 2) and a not in avoid
 
+    @pytest.mark.parametrize("sym, avoid, want", [
+        *((sym, avoid, want) for sym in (EQ, RN) for avoid, want in (
+            (Support(), 0), (Support.of(range(6)), 6), (Support.of([0, 1, 3, 7]), 2), (Support.of([1, 2]), 0))),
+        (ORD, Support(), Fraction(0)),
+        (ORD, Support.of(range(6)), 6),
+        (ORD, Support.of([0, 1, 3, 7]), 8),
+        (ORD, Support.of([Fraction(-1), Fraction(5, 2)]), Fraction(7, 2)),
+        (ORD, Support.of([Fraction(-3), Fraction(-1, 2)]), Fraction(1, 2)),
+    ])
+    def test_first_of_fresh_atoms(self, sym, avoid, want):
+        """The least natural outside `avoid`, or one past its maximum (0 when
+        empty) under total order: `fresh_atoms`' first pick."""
+        got = fresh(sym, avoid)
+        assert got == want == fresh_atoms(sym, avoid, 1)[0]
+        assert type(got) is type(want) is type(fresh_atoms(sym, avoid, 1)[0])
+
 
 def _fresh_one_at_a_time(sym, avoid, count):
     """The oracle for `fresh_atoms`: `count` calls of `fresh`, each avoiding
@@ -316,6 +332,28 @@ class TestFreshAtoms:
         """Naturals fill the gaps of `avoid`; total-order atoms count up from its maximum."""
         assert fresh_atoms(EQ, Support.of(range(0, 40000, 2)), 20000) == list(range(1, 40000, 2))
         assert fresh_atoms(ORD, Support(), 20000)[-1] == Fraction(19999)
+
+
+class TestFiniteMapLookup:
+    def test_call_names_the_missing_atom(self):
+        m = FiniteMap.of({0: 5, Fraction(1, 2): 1})
+        for a in (3, Fraction(1, 3)):
+            with pytest.raises(KeyError) as info:
+                m(a)
+            assert info.value.args == (a,)
+        with pytest.raises(KeyError):
+            FiniteMap()(0)
+
+    def test_int_and_fraction_find_the_same_key(self):
+        for key in (2, Fraction(2)):
+            m = FiniteMap.of({0: 1, key: 7})
+            assert m(2) == m(Fraction(2)) == m.get(2) == m.get(Fraction(2)) == 7
+
+    def test_get_returns_its_default(self):
+        m = FiniteMap.of({0: 5})
+        assert m.get(0) == m.get(0, "d") == 5
+        assert m.get(1) is None and m.get(1, "d") == "d"
+        assert FiniteMap().get(0, 3) == 3
 
 
 class TestEqualityBijectivity:

@@ -227,6 +227,73 @@ class TestDeBruijn:
         assert alpha_eq_terms(t, Lam(1, App(Var(1), Var(0))))
 
 
+def textbook_fv(t) -> set:
+    """FV(v a) = {a}, FV(t u) = FV t ∪ FV u, FV(λa. t) = FV t ∖ {a}; recursive."""
+    if isinstance(t, Var):
+        return {t.atom}
+    if isinstance(t, App):
+        return textbook_fv(t.fn) | textbook_fv(t.arg)
+    return textbook_fv(t.body) - {t.binder}
+
+
+def textbook_db_fv(t, depth: int = 0) -> set:
+    """`#n` at binder depth d refers to the atom n - d when n >= d; recursive."""
+    if isinstance(t, Idx):
+        return {t.index - depth} if t.index >= depth else set()
+    if isinstance(t, DbApp):
+        return textbook_db_fv(t.fn, depth) | textbook_db_fv(t.arg, depth)
+    return textbook_db_fv(t.body, depth + 1)
+
+
+# few atoms, so binders shadow one another and bind atoms free elsewhere
+few_atoms = st.integers(min_value=0, max_value=3)
+named_terms = st.recursive(
+    few_atoms.map(Var),
+    lambda sub: st.one_of(st.builds(App, sub, sub), st.builds(Lam, few_atoms, sub)),
+    max_leaves=12,
+)
+db_terms = st.recursive(
+    st.integers(min_value=0, max_value=6).map(Idx),
+    lambda sub: st.one_of(st.builds(DbApp, sub, sub), st.builds(DbLam, sub)),
+    max_leaves=12,
+)
+
+
+class TestFreeVariableOracle:
+    """`free_atoms` and `db_free_indices` against the textbook definitions."""
+
+    @pytest.mark.parametrize("t, want", [
+        (Lam(0, Lam(0, Var(0))), set()),
+        (App(Var(0), Lam(0, Var(0))), {0}),
+        (Lam(1, App(Lam(1, Var(2)), Var(1))), {2}),
+        (Lam(0, App(Var(1), Lam(1, App(Var(0), Var(1))))), {1}),
+    ])
+    def test_shadowing_examples(self, t, want):
+        assert textbook_fv(t) == want
+        assert free_atoms(t) == db_free_indices(to_debruijn(t)) == Support.of(want)
+
+    def test_debruijn_examples(self):
+        t = DbLam(DbApp(Idx(0), DbLam(DbApp(Idx(1), Idx(4)))))
+        assert textbook_db_fv(t) == {2}
+        assert db_free_indices(t) == Support.of([2])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_term_deck(self, seed):
+        t = random_term(Random(seed), 6, 5)
+        want = Support.of(textbook_fv(t))
+        assert free_atoms(t) == want
+        db = to_debruijn(t)
+        assert Support.of(textbook_db_fv(db)) == db_free_indices(db) == want
+
+    @given(named_terms)
+    def test_named(self, t):
+        assert free_atoms(t) == Support.of(textbook_fv(t)) == Support.of(textbook_db_fv(to_debruijn(t)))
+
+    @given(db_terms)
+    def test_debruijn(self, t):
+        assert db_free_indices(t) == Support.of(textbook_db_fv(t))
+
+
 class TestTripleAgreement:
     @pytest.mark.parametrize("seed", range(60))
     def test_three_deciders_agree(self, seed):

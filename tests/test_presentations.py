@@ -21,6 +21,7 @@ from suppsets.freenom import (
     act,
     act_finite,
     admissible_maps,
+    admissible_targets,
     ext_enumerate,
     ext_support,
 )
@@ -41,7 +42,7 @@ from suppsets.presentations import (
     quot_eq_fixpoint,
     supp_of,
 )
-from suppsets.supported import SuppSet
+from suppsets.supported import SuppSet, UnionFind
 from suppsets.checks import pool_atoms, random_admissible, random_presentation, random_suppset
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -400,6 +401,37 @@ class TestPositionClosure:
 
     def test_total_order_family_at_pool_30(self):
         assert element_count(self.first_atom_family(), AtomPool(pool_atoms(ORD, 30))) == 59
+
+    @staticmethod
+    def count_unions(monkeypatch) -> list:
+        calls = []
+        union = UnionFind.union
+
+        def spy(uf, a, b):
+            calls.append((a, b))
+            union(uf, a, b)
+
+        monkeypatch.setattr(UnionFind, "union", spy)
+        return calls
+
+    @pytest.mark.parametrize("sym", (EQ, ORD, RN))
+    @pytest.mark.parametrize("seed", range(10))
+    def test_one_union_per_instance(self, sym, seed, monkeypatch):
+        """The closure unions through `UnionFind.union`, once per equation
+        instance, so a count kept on that method sees every instance."""
+        calls = self.count_unions(monkeypatch)
+        P = oracle_presentation(Random(f"unions:{seed}"), sym, pool_atoms(sym, 4))
+        for n in range(6):
+            calls.clear()
+            quot_classes(P, AtomPool(pool_atoms(sym, n)))
+            doms = (ext_support(lhs).union(ext_support(rhs)) for lhs, rhs in P.equations)
+            instances = sum(len(list(admissible_targets(sym, len(dom), range(n)))) for dom in doms)
+            assert len(calls) == instances
+
+    def test_unions_of_the_total_order_family(self, monkeypatch):
+        calls = self.count_unions(monkeypatch)
+        assert element_count(self.first_atom_family(), AtomPool(pool_atoms(ORD, 12))) == 23
+        assert len(calls) == 220  # the monotone triples from 12 atoms
 
     def test_builds_nothing_per_instance(self, monkeypatch):
         """Timing-free: no `act_finite` call, and no more `RestrictedMap`s
