@@ -14,7 +14,7 @@ uses :class:`fractions.Fraction` throughout; floats are rejected.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Collection, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -373,12 +373,12 @@ def lock_free_witness(sym: SymmetryId, fixed: Support, a: Atom) -> GlobalMap:
     return transposition(sym, a, b)
 
 
-def fresh(sym: SymmetryId, avoid: Support) -> Atom:
+def fresh(sym: SymmetryId, avoid: Collection) -> Atom:
     """An atom outside `avoid`: smallest unused natural, or max+1 for rationals."""
     return fresh_atoms(sym, avoid, 1)[0]
 
 
-def fresh_atoms(sym: SymmetryId, avoid: Support, count: int) -> list:
+def fresh_atoms(sym: SymmetryId, avoid: Collection, count: int) -> list:
     """The first `count` atoms that repeated `fresh` calls would pick, each
     avoiding `avoid` and the ones before it; none when `count` <= 0."""
     if sym.rational_atoms:

@@ -93,6 +93,14 @@ _DB = _Form(Idx, DbApp, DbLam, attrgetter("index"), "#", "idx", "de Bruijn", Fal
 _POST = object()  # on a walk's stack: the children of the node below it are done
 
 
+def _index(bound: dict, depth: int, atom: int) -> int:
+    """A named leaf's de Bruijn index at binder depth `depth`: the distance
+    to its innermost binder in `bound` (atom -> binder depths), or
+    `atom + depth` when it is free."""
+    outer = bound.get(atom)
+    return depth - outer[-1] if outer else atom + depth
+
+
 def _fold(t, form: _Form, leaf, app, lam, enter=lambda t: None):
     """Post-order fold on an explicit stack: `leaf(value, index, depth)` gets
     a leaf's de Bruijn index and binder depth, `app(fn, arg)` and
@@ -115,9 +123,7 @@ def _fold(t, form: _Form, leaf, app, lam, enter=lambda t: None):
                 done[-1] = app(done[-1], arg)
         elif isinstance(t, form.leaf):
             v = form.value(t)
-            outer = bound.get(v)
-            index = depth - outer[-1] if outer else v + depth if form.named else v
-            done.append(leaf(v, index, depth))
+            done.append(leaf(v, _index(bound, depth, v) if form.named else v, depth))
         elif isinstance(t, form.app):
             todo += (t, _POST, t.arg, t.fn)
         elif isinstance(t, form.lam):
@@ -151,8 +157,35 @@ def act_term(g: GlobalMap, t):
 
 
 def alpha_eq_terms(t1, t2) -> bool:
-    """Alpha equivalence: equal de Bruijn forms, compared printed since == on trees recurses."""
-    return show_debruijn(to_debruijn(t1)) == show_debruijn(to_debruijn(t2))
+    """Alpha equivalence: the same shape, and each pair of leaves at the same
+    de Bruijn index (de Bruijn 1972).  One pre-order walk over both terms on
+    an explicit stack, which stops at the first difference."""
+    bound1, bound2 = {}, {}
+    depth = 0
+    todo = [(t1, t2)]
+    while todo:
+        a, b = todo.pop()
+        if a is _POST:  # the body of the abstraction pair b is done
+            a, b = b
+            depth -= 1
+            bound1[a.binder].pop()
+            bound2[b.binder].pop()
+        elif isinstance(a, Var) and isinstance(b, Var):
+            if _index(bound1, depth, a.atom) != _index(bound2, depth, b.atom):
+                return False
+        elif isinstance(a, App) and isinstance(b, App):
+            todo += ((a.arg, b.arg), (a.fn, b.fn))
+        elif isinstance(a, Lam) and isinstance(b, Lam):
+            depth += 1
+            bound1.setdefault(a.binder, []).append(depth)
+            bound2.setdefault(b.binder, []).append(depth)
+            todo += ((_POST, (a, b)), (a.body, b.body))
+        else:
+            for t in (a, b):
+                if not isinstance(t, (Var, App, Lam)):
+                    raise TypeError(f"not a named term: {t!r}")
+            return False
+    return True
 
 
 TERM_CARRIER = NominalCarrier(act=act_term, supp=free_atoms, eq=alpha_eq_terms)
@@ -285,7 +318,7 @@ def from_debruijn(t):
     pending = iter(outside)
 
     def bind(lam):
-        names.append(fresh(_EQ, Support.of(names[k] if k >= 0 else -1 - k for k in next(pending))))
+        names.append(fresh(_EQ, {names[k] if k >= 0 else -1 - k for k in next(pending)}))
 
     return _fold(t, _DB, lambda n, i, d: Var(names[d - 1 - n] if n < d else n - d), App,
                  lambda lam, body: Lam(names.pop(), body), bind)
@@ -306,7 +339,7 @@ def _tokenize(src: str, sigil: str):
         if ch in "\\.()":
             tokens.append(ch)
         elif ch == sigil:
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and src[j].isdecimal():
                 j += 1
             if j == i + 1:
                 raise TermSyntaxError(f"expected digits after {ch!r} at {i}")

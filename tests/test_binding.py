@@ -3,7 +3,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from suppsets.atoms import Support, SymmetryId, apply, transposition
+from suppsets.atoms import Support, SymmetryId, apply, finite_perm, transposition
 from suppsets.binding import (
     AbsClass,
     App,
@@ -309,6 +309,61 @@ class TestTripleAgreement:
         assert via_db == via_fresh == via_bf == alpha_eq_terms(t1, t2)
 
 
+class TestAlphaWalk:
+    """`alpha_eq_terms` walks both named terms at once; each hand case is
+    checked against de Bruijn equality too."""
+
+    @pytest.mark.parametrize("src1, src2, want", [
+        (r"\v0. v0", r"\v1. v0", False),  # bound against free, same name
+        (r"\v0. \v0. v0", r"\v1. \v2. v2", True),  # the inner binder shadows
+        (r"\v0. \v0. v0", r"\v1. \v2. v1", False),
+        (r"(\v0. v0) v0", r"(\v1. v1) v0", True),  # v0 is free again after the body
+        (r"(\v0. v0) v0", r"(\v1. v1) v1", False),
+        (r"\v0. v0 v1", r"\v1. v1 v0", False),
+        ("v0", "v0 v0", False),  # different node kinds at the root
+        (r"\v0. v0", "v0", False),
+        (r"\v0. v0", "v0 v0", False),
+        (r"\v0. v0 (\v1. v1)", r"\v0. v0 (v1 v1)", False),  # and deep inside
+        (r"\v0. v0 (v1 v2)", r"\v3. v3 v1", False),
+        (r"\v0. (\v1. v0 v1) v2", r"\v3. (\v0. v3 v0) v2", True),
+    ])
+    def test_hand_cases(self, src1, src2, want):
+        t1, t2 = parse_named(src1), parse_named(src2)
+        assert (to_debruijn(t1) == to_debruijn(t2)) == want
+        assert alpha_eq_terms(t1, t2) == alpha_eq_terms(t2, t1) == want
+
+    @pytest.mark.parametrize("t1, t2", [
+        (Var(0), "v0"),
+        ("v0", Var(0)),
+        (App(Var(0), None), App(Var(0), None)),
+        (Lam(0, App(Var(0), 3)), Lam(1, App(Var(1), Var(2)))),
+    ])
+    def test_type_error_on_a_reached_node(self, t1, t2):
+        with pytest.raises(TypeError, match="not a named term"):
+            alpha_eq_terms(t1, t2)
+
+    def test_stops_at_the_first_difference(self):
+        # the malformed arguments come after the differing leaves, so are not reached
+        assert not alpha_eq_terms(App(Var(0), None), App(Var(1), None))
+
+    @given(named_terms, named_terms)
+    def test_agrees_with_the_oracles(self, t1, t2):
+        assert alpha_eq_terms(t1, t2) == alpha_fresh_swap(t1, t2) == (to_debruijn(t1) == to_debruijn(t2))
+
+    @given(named_terms, st.permutations(range(6)))
+    def test_renaming_outside_the_free_atoms(self, t, image):
+        # a permutation that fixes the free atoms moves only binders
+        fixed = set(free_atoms(t))
+        moved = [a for a in range(6) if a not in fixed]
+        targets = [a for a in image if a not in fixed]
+        g = finite_perm(EQ, dict(zip(moved, targets)))
+        assert alpha_eq_terms(t, act_term(g, t))
+
+    @given(named_terms)
+    def test_debruijn_round_trip(self, t):
+        assert alpha_eq_terms(t, from_debruijn(to_debruijn(t)))
+
+
 class TestActTerm:
     def test_identity(self):
         t = Lam(0, Var(1))
@@ -393,6 +448,7 @@ class TestPinnedSyntaxErrors:
         ("\\v0 v1", "expected '.' after the binder"),
         (")", "unexpected token ')'"),
         ("v0 (v1))", "trailing input"),
+        ("v²", "expected digits after 'v' at 0"),  # a digit that int() rejects
     ])
     def test_named(self, src, message):
         with pytest.raises(TermSyntaxError) as exc:
@@ -408,11 +464,17 @@ class TestPinnedSyntaxErrors:
         ("#0 . #1", "unexpected token '.'"),
         ("()", "unexpected token ')'"),
         ("\\ \\", "unexpected token None"),
+        ("#²", "expected digits after '#' at 0"),
     ])
     def test_debruijn(self, src, message):
         with pytest.raises(TermSyntaxError) as exc:
             parse_debruijn(src)
         assert str(exc.value) == message
+
+    def test_decimal_digits_of_any_script(self):
+        # "١" is ARABIC-INDIC DIGIT ONE: decimal, and int() reads it as 1
+        assert parse_named("v١") == Var(1)
+        assert parse_debruijn("#١") == Idx(1)
 
 
 class TestPinnedNames:
