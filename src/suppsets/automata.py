@@ -14,10 +14,12 @@ generically: with finite-powerset side effects it is the classical subset
 construction, with free-nominal side effects it is the configuration
 automaton that `step`/`run` walk.
 
-A step is equivariant, so the walk runs `step_full` once per orbit of
-(location, registers' values, input) and renames that result to every
-other configuration of the orbit; a successor that keeps its
-configuration as it was is the configuration itself, not a renamed copy.
+A step is equivariant, so an automaton runs `step_full` once per orbit
+of (location, registers' values, input), keeps the result in its table
+`_orbits` for its whole life, and renames it to every other
+configuration of the orbit; a successor that keeps its configuration as
+it was is the configuration itself, not a renamed copy.  `run`, `step`,
+`reachable_configs` and `reachable_orbits` all read that one table.
 The orbit is named by the input's position among the register values:
 one of k+1 under equality (a register's value, or new) and one of 2k+1
 under total order (on a value or in a gap), for k registers.  Renaming,
@@ -125,8 +127,12 @@ def make_transition(source, guard: Guard, target, assign) -> Transition:
     return Transition(source, guard, target, tuple(sorted(pairs, key=lambda ar: ar[0])))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegisterAutomaton:
+    """Frozen, so the tables it fills lazily hold for its whole life:
+    `_orbits`, the successor templates per orbit (`_successors`), and
+    `_inert`, the inert flag per location and registers (`_inert`)."""
+
     sym: SymmetryId
     locations: SuppSet
     initial: object
@@ -134,12 +140,13 @@ class RegisterAutomaton:
     transitions: tuple
 
     def __post_init__(self):
-        self.final = frozenset(self.final)
         by_source = {}
         for t in self.transitions:
             by_source.setdefault(t.source, []).append(t)
-        self._by_source = {q: tuple(ts) for q, ts in by_source.items()}
-        self._locate = _locator(self)
+        for name, value in (("final", frozenset(self.final)),
+                            ("_by_source", {q: tuple(ts) for q, ts in by_source.items()}),
+                            ("_locate", _locator(self)), ("_orbits", {}), ("_inert", {})):
+            object.__setattr__(self, name, value)
 
     def outgoing(self, loc) -> tuple:
         return self._by_source.get(loc, ())
@@ -232,9 +239,9 @@ def eval_guard(g: Guard, val: RestrictedMap, input_atom: Atom) -> bool:
 def step_full(ra: RegisterAutomaton, c: Config, input_atom: Atom):
     """Successor configurations, one per enabled transition and in transition
     order, plus the successors dropped as inadmissible.  `RestrictedMap`
-    decides admissibility; `is_admissible` runs only when it refuses.  The
-    frontier loop calls this once per orbit, on a template of natural-number
-    values (see `_successors`), so the constructor runs once per orbit too."""
+    decides admissibility; `is_admissible` runs only when it refuses.
+    `_successors` calls this once per automaton and orbit, on a template of
+    natural-number values, so the constructor runs once per orbit too."""
     kept, dropped = [], []
     for t in ra.outgoing(c.loc):
         if not eval_guard(t.guard, c.valuation, input_atom):
@@ -339,18 +346,7 @@ def _locator(ra: RegisterAutomaton):
     return _ranked
 
 
-def _orbit_step(ra: RegisterAutomaton, loc, regs: tuple, ranks: list) -> tuple:
-    """The kept successors of the template `ranks` (register values, then
-    the input) at `loc`, as `(target, registers, value ranks)` templates.
-    The ranks are naturals, so atoms of every domain.  A successor that
-    keeps the location, the registers and their values in place is `None`:
-    it renames to the stepped key itself."""
-    c = Config(loc, RestrictedMap(ra.sym, FiniteMap(tuple(zip(regs, ranks)))))
-    same = _key(c)
-    return tuple(None if k == same else k for k in map(_key, step_full(ra, c, ranks[-1])[0]))
-
-
-def _successors(ra: RegisterAutomaton, keys, letters: tuple, memo: dict) -> list:
+def _successors(ra: RegisterAutomaton, keys, letters) -> list:
     """Every successor key of `keys` under any of `letters`, without repeats
     and in discovery order.  Each letter is checked against the atom domain
     here, once, whether or not a transition stores it.
@@ -359,24 +355,29 @@ def _successors(ra: RegisterAutomaton, keys, letters: tuple, memo: dict) -> list
     admissibility, and it only copies atoms.  A strictly monotone map keeps
     all of these, and without `lt` under equality an injective one does.
     So its successors are fixed by the location, the registers and the
-    input's position among their values (`ra._locate`):
-    `step_full` runs once per position, on the ranks of the values and the
-    input in the renaming target, and `memo` (one walk's) holds the result,
-    which is renamed back to the atoms at every other hit.  A template that
-    keeps the key in place (`None`) appends the key as it is, with no
-    renamed tuple.  A position whose step raises is not stored."""
+    input's position among their values (`ra._locate`).  On the first
+    hit of a position in the automaton's life, `step_full` runs on the
+    ranks of the values and the input in the renaming target (naturals, so
+    atoms of every domain), and `ra._orbits` keeps the kept successors as
+    `(target, registers, value ranks)` templates; every hit renames them
+    back to the atoms.  A template that keeps the location, the registers
+    and their values in place is `None`, and appends the key as it is,
+    with no renamed tuple.  A position whose step raises is not stored."""
     for a in letters:
         check_atom(ra.sym, a)
-    locate = ra._locate
+    locate, orbits = ra._locate, ra._orbits
     out = []
     for key in keys:
         loc, regs, vals = key
         for a in letters:
             code, ext = locate(vals, a)
-            mkey = (loc, regs, code)
-            succs = memo.get(mkey)
+            succs = orbits.get((loc, regs, code))
             if succs is None:
-                succs = memo[mkey] = _orbit_step(ra, loc, regs, [ext.index(v) for v in (*vals, a)])
+                ranks = [ext.index(v) for v in (*vals, a)]
+                c = Config(loc, RestrictedMap(ra.sym, FiniteMap(tuple(zip(regs, ranks)))))
+                same = _key(c)
+                succs = orbits[loc, regs, code] = tuple(
+                    None if k == same else k for k in map(_key, step_full(ra, c, ranks[-1])[0]))
             for t in succs:
                 out.append(key if t is None else (t[0], t[1], tuple([ext[r] for r in t[2]])))
     return list(dict.fromkeys(out)) if len(out) > 1 else out  # one key needs no hashing
@@ -386,32 +387,25 @@ def step(ra: RegisterAutomaton, c: Config, input_atom: Atom) -> tuple:
     return ConfigAutomaton(ra).successor((c,), input_atom)
 
 
-def _inert(ra: RegisterAutomaton, loc, regs: tuple, memo: dict) -> bool:
+def _inert(ra: RegisterAutomaton, loc, regs: tuple) -> bool:
     """Whether every letter that is none of a key's values at `(loc, regs)`
-    steps the key to itself alone: its templates at each such position are
-    `(None,)`.  That is one position under `_among` (code k) and the k+1
-    gaps under `_between`; `_ranked` names no such position, so its keys
-    are never inert.  The templates go through `memo` as `_successors`
-    would build them; a position whose step raises makes the key active,
-    so that the step raises where the letter is read."""
-    k = len(regs)
-    if ra._locate is _among:
-        positions = [(k, list(range(k + 1)))]
-    elif ra._locate is _between:
-        positions = [(2 * p, [*range(p), *range(p + 1, k + 1), p]) for p in range(k + 1)]
-    else:
-        return False
-    for code, ranks in positions:
-        mkey = (loc, regs, code)
-        succs = memo.get(mkey)
-        if succs is None:
-            try:
-                succs = memo[mkey] = _orbit_step(ra, loc, regs, ranks)
-            except Exception:
-                return False
-        if succs != (None,):
-            return False
-    return True
+    steps the key to itself alone, cached in `ra._inert`.  `_successors`
+    answers it on the key with values `1, 3, …, 2k-1`, one letter per
+    position off them: `2k` under `_among`, and the gaps `0, 2, …, 2k`
+    under `_between`; `_ranked` has no such position, so its keys are never
+    inert.  A position whose step raises makes the key active, so that the
+    step raises where the letter is read."""
+    got = ra._inert.get((loc, regs))
+    if got is None:
+        k = len(regs)
+        key = (loc, regs, tuple(range(1, 2 * k, 2)))
+        letters = {_among: (2 * k,), _between: range(0, 2 * k + 1, 2)}.get(ra._locate, ())
+        try:
+            got = bool(letters) and all(_successors(ra, (key,), (a,)) == [key] for a in letters)
+        except Exception:
+            got = False
+        ra._inert[loc, regs] = got
+    return got
 
 
 def run(ra: RegisterAutomaton, word: Iterable[Atom]) -> bool:
@@ -432,11 +426,11 @@ def run(ra: RegisterAutomaton, word: Iterable[Atom]) -> bool:
     own values when every other position keeps it as it is (`_inert`).
     Such keys sit in `inert`, indexed by value in `holders`; the rest are
     `active`.  A letter steps `active` and the inert keys that hold it, and
-    the other inert keys carry over untouched.  `stays`, `holders` and the
-    memos live for this call.  When a letter raises, it is replayed on the
-    whole frontier's configurations in `_config_key` order, so the first of
-    them to raise decides which error the caller sees."""
-    memo, inert_at = {}, {}
+    the other inert keys carry over untouched.  `stays` and `holders` live
+    for this call; the step and inert tables are the automaton's.  When a
+    letter raises, it is replayed on the whole frontier's configurations in
+    `_config_key` order, so the first of them to raise decides which error
+    the caller sees."""
     active, inert, holders = [_key(initial_config(ra))], {}, {}
     values, floors, stays = None, None, set()  # `values` and `floors` are built when the frontier first stays
     locate = ra._locate
@@ -446,7 +440,7 @@ def run(ra: RegisterAutomaton, word: Iterable[Atom]) -> bool:
             continue
         touched = list(holders.get(a, ()))
         try:
-            succs = _successors(ra, active + touched, (a,), memo)
+            succs = _successors(ra, active + touched, (a,))
         except Exception:
             for c in _configs(ra, [*active, *inert]):
                 step_full(ra, c, a)
@@ -454,10 +448,7 @@ def run(ra: RegisterAutomaton, word: Iterable[Atom]) -> bool:
         next_active, kept, changed = [], set(), False
         for key in succs:
             loc, regs, vals = key
-            is_inert = inert_at.get((loc, regs))
-            if is_inert is None:
-                is_inert = inert_at[loc, regs] = _inert(ra, loc, regs, memo)
-            if not is_inert:
+            if not _inert(ra, loc, regs):
                 next_active.append(key)
             elif key in inert:
                 kept.add(key)
@@ -570,7 +561,7 @@ class ConfigAutomaton:
         return initial_config(self.ra)
 
     def successor(self, configs, input_atom):
-        return _configs(self.ra, _successors(self.ra, _own_keys(self.ra, configs), (input_atom,), {}))
+        return _configs(self.ra, _successors(self.ra, _own_keys(self.ra, configs), (input_atom,)))
 
     def accepts(self, word) -> bool:
         return run(self.ra, word)
@@ -615,12 +606,11 @@ def reachable_configs(ra: RegisterAutomaton, pool: Support, depth: int) -> tuple
     """Configurations within `depth` letters of the pool, breadth first.
     Each level is sorted by `_config_key` before it is stepped, so the
     successors, and any error, come in the order of a sorted frontier."""
-    memo = {}
     frontier = [_key(initial_config(ra))]
     seen = dict.fromkeys(frontier)
     letters = tuple(pool)
     for _ in range(depth):
-        frontier = [k for k in sorted(_successors(ra, frontier, letters, memo), key=_config_key)
+        frontier = [k for k in sorted(_successors(ra, frontier, letters), key=_config_key)
                     if k not in seen]
         if not frontier:
             break

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -1089,33 +1090,41 @@ class TestOneStepPerOrbit:
 
     @pytest.mark.parametrize("accept", [True, False])
     def test_long_words(self, monkeypatch, accept):
+        """A fresh automaton per word: its step table starts empty."""
         rng = Random(7)
-        for ra, make in ((first_repeat_automaton(), self.repeat_word), (ascent_automaton(), self.ascent_word)):
-            counts = {self.count_steps(monkeypatch, ra, make(rng, n, accept)) for n in (200, 2000, 20000)}
+        for make_ra, make in ((first_repeat_automaton, self.repeat_word), (ascent_automaton, self.ascent_word)):
+            counts = {self.count_steps(monkeypatch, make_ra(), make(rng, n, accept)) for n in (200, 2000, 20000)}
             assert len(counts) == 1 and counts.pop() <= 4
 
     @pytest.mark.parametrize("accept", [True, False])
     def test_long_words_step_the_frontier_a_few_times(self, monkeypatch, accept):
+        """One unspied run first fills the automaton's tables, so `_inert`'s
+        probes through `_successors` are cached and only `run`'s own
+        calls are counted."""
         rng = Random(7)
         for ra, make in ((first_repeat_automaton(), self.repeat_word), (ascent_automaton(), self.ascent_word)):
-            counts = {self.count_steps(monkeypatch, ra, make(rng, n, accept), "_successors")
-                      for n in (200, 2000, 20000)}
+            counts = set()
+            for n in (200, 2000, 20000):
+                word = make(rng, n, accept)
+                run(ra, word)
+                counts.add(self.count_steps(monkeypatch, ra, word, "_successors"))
+                monkeypatch.undo()
             assert len(counts) == 1 and counts.pop() <= 4
 
     def test_wide_frontier(self, monkeypatch):
         rng = Random(3)
-        ra = guess_store_automaton()
         atoms = rng.sample(range(1000), 20)
-        counts = [self.count_steps(monkeypatch, ra, [rng.choice(atoms) for _ in range(n)]) for n in (40, 100)]
+        counts = [self.count_steps(monkeypatch, guess_store_automaton(), [rng.choice(atoms) for _ in range(n)])
+                  for n in (40, 100)]
         assert counts[0] == counts[1] == 9  # k+1 positions at each location: 1+2+3+2+1
 
     def test_total_order_positions(self, monkeypatch):
         """Under total order the input sits on one of k register values or in
         one of k+1 gaps: at most 2k+1 steps per location and register domain."""
         rng = Random(5)
-        ra = guess_store_automaton("total-order")
         atoms = rng.sample(range(1000), 20)
         for n in (40, 100):
+            ra = guess_store_automaton("total-order")
             steps = Counter()
 
             def counted(ra, c, a):
@@ -1128,14 +1137,60 @@ class TestOneStepPerOrbit:
             assert all(m <= 2 * len(dom) + 1 for (_, dom), m in steps.items())
 
 
+class TestOrbitTable:
+    """The step table belongs to the automaton: `run`, `reachable_configs`
+    and `step` on one automaton share it, and a position whose step raises
+    is not stored."""
+
+    @pytest.mark.parametrize("symmetry", ["equality", "total-order"])
+    def test_no_position_is_stepped_twice(self, monkeypatch, symmetry):
+        """`step_full` runs on rank templates, one per position, so a
+        repeated `(location, valuation, input)` is a position stepped
+        twice."""
+        ra = guess_store_automaton(symmetry)
+        rng = Random(31)
+        atoms = rng.sample(range(1000), 10)
+        first, second = ([rng.choice(atoms) for _ in range(40)] for _ in range(2))
+        run(ra, first)
+        steps = []
+
+        def counted(ra, c, a):
+            steps.append((c.loc, c.valuation.images.entries, a))
+            return step_full(ra, c, a)
+
+        monkeypatch.setattr(automata_module, "step_full", counted)
+        assert run(ra, second) == oracle_run(ra, second)
+        pool = Support.of(atoms[:4])
+        assert reachable_configs(ra, pool, 3) == oracle_reachable_configs(ra, pool, 3)
+        before = len(steps)
+        assert step(ra, initial_config(ra), atoms[0]) == oracle_successors(ra, (initial_config(ra),), atoms[:1])
+        assert len(steps) == before and len(set(steps)) == len(steps)
+
+    def test_a_raising_position_is_not_stored(self):
+        """Below `r0` the `raising` positions automaton reads a relation
+        with no interpretation: each run raises as the oracle does, and the
+        position is missing from the table after both."""
+        ra = positions_automaton(raising=True)
+        word = [2, 5, 3, 1]
+        for _ in range(2):
+            assert outcome(run, ra, word) == outcome(oracle_run, ra, word) == (
+                ValueError, "relation 'between' has no interpretation")
+        assert ("two", (0, 1), 0) not in ra._orbits and ("two", (0, 1), 2) in ra._orbits
+
+    def test_fields_are_frozen(self):
+        ra = first_repeat_automaton()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ra.final = frozenset()
+
+
 def spy_successors(monkeypatch):
     """Record `(keys, letters, result)` for every `_successors` call."""
     calls = []
     inner = automata_module._successors
 
-    def spied(ra, keys, letters, memo):
+    def spied(ra, keys, letters):
         keys = list(keys)
-        got = inner(ra, keys, letters, memo)
+        got = inner(ra, keys, letters)
         calls.append((keys, letters, got))
         return got
 
@@ -1167,6 +1222,7 @@ class TestInertKeys:
         words = [[rng.choice(atoms) for _ in range(100)] for _ in range(3)]
         for word in words:
             states = successor_states(ra, word)
+            run(ra, word)  # fills `_inert`'s cache, whose probes would be spied too
             calls = spy_successors(monkeypatch)
             accepted = run(ra, word)
             monkeypatch.undo()
@@ -1187,6 +1243,20 @@ class TestInertKeys:
         ts = tuple(Transition(t.source, keep_unless_r0, t.target, t.assign) if (t.source, t.target) == ("s2", "s2")
                    else t for t in ra.transitions)
         return RegisterAutomaton(ra.sym, ra.locations, ra.initial, ra.final, ts)
+
+    @pytest.mark.parametrize("symmetry", ["equality", "total-order"])
+    def test_a_doubled_self_loop_is_inert(self, symmetry):
+        """With `s2 → s2` listed twice, both of its templates keep an `s2`
+        key in place; `_successors` drops the repeat, so the key steps to
+        itself alone and is inert."""
+        ra = guess_store_automaton(symmetry)
+        loop = next(t for t in ra.transitions if (t.source, t.target) == ("s2", "s2"))
+        ra = RegisterAutomaton(ra.sym, ra.locations, ra.initial, ra.final, (*ra.transitions, loop))
+        assert automata_module._inert(ra, "s2", (0, 1))
+        rng = Random(17)
+        atoms = rng.sample(range(100), 8)
+        words = [[rng.choice(atoms) for _ in range(30)] for _ in range(3)]
+        TestOrbitMemoMatchesOracle.compare_runs(ra, [{"s2"}, {"s3"}, {"acc"}], words)
 
     @pytest.mark.parametrize("symmetry", ["equality", "total-order"])
     def test_a_touched_inert_key_leaves(self, monkeypatch, symmetry):
@@ -1235,7 +1305,7 @@ class TestInertKeys:
             make_transition("z", Guard((on_r0, Literal(True, "between", (INPUT, Reg(0))))), "z", {0: Reg(0)}),
         )
         ra = RegisterAutomaton(sym, locs, "p", frozenset(["y"]), ts)
-        assert automata_module._inert(ra, "a", (0,), {}) and not automata_module._inert(ra, "z", (0,), {})
+        assert automata_module._inert(ra, "a", (0,)) and not automata_module._inert(ra, "z", (0,))
         for word, want in (([4, 5, 5], (UnresolvedRegister, "3")), ([4, 5, 6], ("ok", True)),
                            ([4, 5, 6, 4], (UnresolvedRegister, "3"))):
             assert outcome(run, ra, word) == outcome(oracle_run, ra, word) == want
