@@ -392,6 +392,11 @@ def fresh_atoms(sym: SymmetryId, avoid: Collection, count: int) -> list:
     return out
 
 
+def pool_atoms(sym: SymmetryId, n: int) -> Support:
+    """A pool of the first `n` atoms that `fresh_atoms` picks."""
+    return Support.of(fresh_atoms(sym, EMPTY_SUPPORT, n))
+
+
 # --- JSON forms: naturals as decimal ints, rationals as "p/q" strings ---
 
 def atom_to_json(a: Atom):

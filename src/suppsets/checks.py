@@ -24,10 +24,6 @@ SYMS = (A.SymmetryId.EQUALITY, A.SymmetryId.TOTAL_ORDER, A.SymmetryId.RENAMING)
 
 # --- generators ---
 
-def pool_atoms(sym, n: int) -> A.Support:
-    return A.Support.of(A.fresh_atoms(sym, A.EMPTY_SUPPORT, n))
-
-
 def random_support(rng: Random, sym, pool: A.Support, max_size: int) -> A.Support:
     k = rng.randint(0, min(max_size, len(pool)))
     return A.Support.of(rng.sample(tuple(pool), k))
@@ -201,7 +197,7 @@ def suite_atoms(rng: Random, n: int) -> SuiteResult:
     res = SuiteResult("atoms")
     for _ in range(n):
         for sym in SYMS:
-            pool = pool_atoms(sym, 8)
+            pool = A.pool_atoms(sym, 8)
             fixed = random_support(rng, sym, pool, 4)
             a = A.fresh(sym, fixed)
             w = A.lock_free_witness(sym, fixed, a)
@@ -227,7 +223,7 @@ def suite_atoms(rng: Random, n: int) -> SuiteResult:
 def suite_supported(rng: Random, n: int) -> SuiteResult:
     res = SuiteResult("supported-sets")
     sym = A.SymmetryId.EQUALITY
-    pool = pool_atoms(sym, 6)
+    pool = A.pool_atoms(sym, 6)
     for _ in range(n):
         X = random_suppset(rng, sym, pool)
         R_elems = [f"r{i}" for i in range(rng.randint(1, 4))]
@@ -261,7 +257,7 @@ def suite_freenom(rng: Random, n: int) -> SuiteResult:
     res = SuiteResult("free-extension")
     for _ in range(n):
         for sym in SYMS:
-            pool = pool_atoms(sym, 6)
+            pool = A.pool_atoms(sym, 6)
             X = random_suppset(rng, sym, pool)
             e = random_ext_elem(rng, sym, X, pool)
             supp = FN.ext_support(e)
@@ -294,7 +290,7 @@ def suite_presentations(rng: Random, n: int) -> SuiteResult:
     res = SuiteResult("presentations")
     for _ in range(n):
         for sym in (A.SymmetryId.EQUALITY, A.SymmetryId.TOTAL_ORDER):
-            small = pool_atoms(sym, 3)
+            small = A.pool_atoms(sym, 3)
             P = random_presentation(rng, sym, small)
             pool = PR.default_pool(P)
             universe, labels = PR.quot_classes(P, pool)
@@ -356,12 +352,12 @@ def suite_automata(rng: Random, n: int) -> SuiteResult:
     res = SuiteResult("automata")
     ra = first_repeat_automaton()
     eq = A.SymmetryId.EQUALITY
-    pool = pool_atoms(eq, 4)
+    pool = A.pool_atoms(eq, 4)
     for _ in range(n):
         word = [rng.choice(tuple(pool)) for _ in range(rng.randint(0, 5))]
         want = any(a == word[0] for a in word[1:]) if word else False
         res.check(RA.run(ra, word) == want, f"first-repeat run({word}) != {want}")
-        g = random_global(rng, eq, pool_atoms(eq, 6))
+        g = random_global(rng, eq, A.pool_atoms(eq, 6))
         res.check(
             RA.run(ra, [A.apply(g, a) for a in word]) == RA.run(ra, word),
             f"run not orbit-invariant on {word}",

@@ -11,36 +11,39 @@ import argparse
 import json
 import sys
 
-from .atoms import Support, SymmetryId, atom_from_json, fresh_atoms, support_to_json
-from .automata import (
-    automaton_from_json,
-    reachable_orbits,
-    run,
-    validate,
-)
-from .binding import (
-    alpha_eq_terms,
-    from_debruijn,
-    named_to_json,
-    parse_debruijn,
-    parse_named,
-    show_debruijn,
-    show_named,
-    to_debruijn,
-    debruijn_to_json,
-    TermSyntaxError,
-)
-from .checks import pool_atoms, run_all
-from .freenom import ext_elem_from_json
-from .presentations import (
-    AtomPool,
-    default_pool,
-    element_count,
-    orbit_count,
-    presentation_from_json,
-    quot_eq,
-    supp_of,
-)
+from .atoms import Support, SymmetryId, atom_from_json, fresh_atoms, pool_atoms, support_to_json
+
+# The names each command takes from a heavier layer.  A handler binds them
+# in this module's globals with `_load` before it runs, so a process imports
+# only the layers its command uses.  A name already bound stays bound, so a
+# wrapper set on this module from outside is the one the command calls.
+_LAYER_NAMES = {
+    "automata": ("automaton_from_json", "reachable_orbits", "run", "validate"),
+    "binding": ("alpha_eq_terms", "from_debruijn", "named_to_json", "parse_debruijn",
+                "parse_named", "show_debruijn", "show_named", "to_debruijn",
+                "debruijn_to_json", "TermSyntaxError"),
+    "checks": ("run_all",),
+    "freenom": ("ext_elem_from_json",),
+    "presentations": ("AtomPool", "default_pool", "element_count", "orbit_count",
+                      "presentation_from_json", "quot_eq", "supp_of"),
+}
+
+
+def _load(*layers):
+    names = globals()
+    for layer in layers:
+        module = f"{__package__}.{layer}"
+        __import__(module)  # unlike importlib.import_module, shows in -X importtime
+        for name in _LAYER_NAMES[layer]:
+            names.setdefault(name, getattr(sys.modules[module], name))
+
+
+def __getattr__(name):
+    for layer, names in _LAYER_NAMES.items():
+        if name in names:
+            _load(layer)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class CliError(Exception):
@@ -102,6 +105,7 @@ def _emit(args, text: str, payload: dict):
 
 
 def _cmd_validate(args) -> int:
+    _load("automata")
     ra = _from_json(args.automaton, automaton_from_json, _load_json(args.automaton))
     report = validate(ra)
     if report.ok:
@@ -116,6 +120,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    _load("automata")
     ra = _load_automaton(args.automaton)
     word = _load_word(args.word, ra.sym)
     accepted = run(ra, word)
@@ -128,6 +133,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
+    _load("automata")
     ra = _load_automaton(args.automaton)
     default_n = max((len(s) for _, s in ra.locations.items), default=0) + 2
     n = max(args.pool or 0, default_n)
@@ -156,6 +162,7 @@ def _parse_term(src: str, parse):
 
 
 def _cmd_lambda(args) -> int:
+    _load("binding")
     if args.lambda_op == "to-db":
         db = to_debruijn(_parse_term(args.term, parse_named))
         _emit(args, show_debruijn(db), {"command": "lambda.to-db", "term": debruijn_to_json(db)})
@@ -181,6 +188,7 @@ def _quot_pool(P, reps, requested: int) -> AtomPool:
 
 
 def _cmd_quot(args) -> int:
+    _load("presentations", "freenom")
     P = _from_json(args.presentation, presentation_from_json, _load_json(args.presentation))
     if args.quot_op in ("count", "orbits"):
         n = len(default_pool(P)) if args.pool is None else args.pool
@@ -214,6 +222,7 @@ def _cmd_quot(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
+    _load("checks")
     report = run_all(seed=args.seed, budget=args.budget)
     _emit(args, report.to_text(), report.to_json())
     return 0 if report.ok else 1

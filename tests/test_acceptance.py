@@ -16,6 +16,7 @@ from suppsets.atoms import (
     apply,
     fresh,
     lock_free_witness,
+    pool_atoms,
 )
 from suppsets.automata import (
     PfSubsets,
@@ -44,7 +45,6 @@ from suppsets.checks import (
     ascent_automaton,
     first_repeat_automaton,
     nfa_simulate,
-    pool_atoms,
     random_admissible,
     random_ext_elem,
     random_global,

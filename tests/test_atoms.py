@@ -25,10 +25,11 @@ from suppsets.atoms import (
     inverse,
     is_admissible,
     lock_free_witness,
+    pool_atoms,
     pwl_map,
     transposition,
 )
-from suppsets.checks import pool_atoms, random_admissible, random_global
+from suppsets.checks import random_admissible, random_global
 
 EQ = SymmetryId.EQUALITY
 ORD = SymmetryId.TOTAL_ORDER

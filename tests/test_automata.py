@@ -16,6 +16,7 @@ from suppsets.atoms import (
     apply,
     check_atom,
     is_admissible,
+    pool_atoms,
 )
 from suppsets import automata as automata_module
 from suppsets.automata import (
@@ -54,7 +55,6 @@ from suppsets.checks import (
     ascent_automaton,
     first_repeat_automaton,
     nfa_simulate,
-    pool_atoms,
     random_global,
     random_nfa,
 )

@@ -10,6 +10,7 @@ from suppsets.atoms import (
     compose,
     extend_to_global,
     identity,
+    pool_atoms,
     transposition,
 )
 from suppsets.freenom import (
@@ -36,7 +37,6 @@ from suppsets.freenom import (
 )
 from suppsets.supported import SuppMap, SuppSet
 from suppsets.checks import (
-    pool_atoms,
     random_admissible,
     random_ext_elem,
     random_global,

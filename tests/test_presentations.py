@@ -13,6 +13,7 @@ from suppsets.atoms import (
     fresh,
     fresh_atoms,
     lock_free_witness,
+    pool_atoms,
     transposition,
 )
 from suppsets.freenom import (
@@ -43,7 +44,7 @@ from suppsets.presentations import (
     supp_of,
 )
 from suppsets.supported import SuppSet, UnionFind
-from suppsets.checks import pool_atoms, random_admissible, random_presentation, random_suppset
+from suppsets.checks import random_admissible, random_presentation, random_suppset
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 EQ = SymmetryId.EQUALITY

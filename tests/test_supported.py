@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from suppsets.atoms import Support, SymmetryId
+from suppsets.atoms import Support, SymmetryId, pool_atoms
 from suppsets.supported import (
     SuppMap,
     SuppSet,
@@ -28,7 +28,7 @@ from suppsets.supported import (
     ufs_support,
     unit_set,
 )
-from suppsets.checks import pool_atoms, random_suppset
+from suppsets.checks import random_suppset
 
 EQ = SymmetryId.EQUALITY
 
