@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 from collections import Counter
@@ -1309,3 +1310,180 @@ class TestInertKeys:
         for word, want in (([4, 5, 5], (UnresolvedRegister, "3")), ([4, 5, 6], ("ok", True)),
                            ([4, 5, 6, 4], (UnresolvedRegister, "3"))):
             assert outcome(run, ra, word) == outcome(oracle_run, ra, word) == want
+
+
+# --- every word up to symmetry, against the oracle ---
+
+def equality_types(n: int) -> list:
+    """One word per equality type of length `n`: restricted growth strings,
+    each letter the index of its class in order of first appearance."""
+    words = [()]
+    for _ in range(n):
+        words = [w + (c,) for w in words for c in range(max(w, default=-1) + 2)]
+    return words
+
+
+def order_types(n: int) -> list:
+    """One word per order type of length `n`: each letter its rank among the
+    word's distinct letters, every rank from 0 up used."""
+    return [w for w in itertools.product(range(n), repeat=n) if set(w) == set(range(max(w, default=-1) + 1))]
+
+
+def oracle_live(ra, word) -> set:
+    """The locations of the sorted-frontier loop's frontier after `word`."""
+    frontier = (initial_config(ra),)
+    for a in word:
+        frontier = oracle_successors(ra, frontier, (a,))
+    return {c.loc for c in frontier}
+
+
+def live_by_run(ra, word, variants=None) -> set:
+    """The locations `run` finds live after `word`: one run per location,
+    each with that location alone final."""
+    variants = variants or single_final_variants(ra)
+    return {q for q, v in variants if run(v, word)}
+
+
+def single_final_variants(ra) -> list:
+    return [(q, RegisterAutomaton(ra.sym, ra.locations, ra.initial, frozenset([q]), ra.transitions))
+            for q in ra.locations.elements]
+
+
+def shipped_automaton(name, sym):
+    spec = json.loads((DATA / f"{name}.json").read_text())
+    return automaton_from_json({**spec, "symmetry": sym.value})
+
+
+def second_again_automaton(sym):
+    """Stores the first two letters and accepts once the second comes again;
+    under total order only a second letter above the first can be stored.
+    The frontier stays on a letter between the two, and under total order a
+    letter on the second value that shares its floor with the first must
+    not be taken for a letter in the gap."""
+    r0, r1 = {"reg": 0}, {"reg": 1}
+    return automaton_from_json({
+        "symmetry": sym.value,
+        "locations": {"elements": [{"id": q, "support": s} for q, s in
+                                   (("q0", []), ("q1", [0]), ("q2", [0, 1]), ("acc", []))]},
+        "initial": "q0",
+        "final": ["acc"],
+        "transitions": [
+            {"from": "q0", "to": "q1", "assign": {"0": "input"}},
+            {"from": "q1", "to": "q2", "assign": {"0": r0, "1": "input"}},
+            {"from": "q2", "to": "q2", "assign": {"0": r0, "1": r1}},
+            {"from": "q2", "to": "acc", "assign": {}, "guard": [[True, "eq", ["input", r1]]]},
+            {"from": "acc", "to": "acc", "assign": {}},
+        ],
+    })
+
+
+class TestEveryWordUpToSymmetry:
+    """`run` is equivariant and starts with no registers, so the words of a
+    length fall into finitely many orbits: equality types under equality,
+    order types under total order.  One word per orbit checks every word of
+    that length; the fast paths are not written equivariantly, so each orbit
+    gets several representatives, each aimed at one of them.  Under equality
+    `ascent_after_first` compares with `lt` and runs the `_ranked` fallback."""
+
+    EQUALITY = {
+        "naturals": list,
+        "descending": lambda w: [10 ** 6 - 7 * c for c in w],  # sorted values reverse first appearance
+    }
+    ORDER = {
+        "naturals": list,
+        "one floor": lambda w: [Fraction(r + 1, len(w) + 1) for r in w],  # all in (0, 1): `_by_floor` compares
+        "k and Fraction(k)": lambda w: [Fraction(r) if i % 2 else r for i, r in enumerate(w)],
+        # negative ints and halves, pairs of them on one floor
+        "negatives": lambda w: [(r - 2 * len(w)) // 2 if r % 2 == 0 else Fraction(r - 2 * len(w), 2) for r in w],
+    }
+
+    AUTOMATA = {
+        "first_repeat": lambda sym: shipped_automaton("first_repeat", sym),
+        "ascent_after_first": lambda sym: shipped_automaton("ascent_after_first", sym),
+        "guess_store": lambda sym: guess_store_automaton(sym.value),
+        "second_again": second_again_automaton,
+    }
+
+    @pytest.mark.parametrize("sym, longest", [(EQ, 6), (ORD, 5)])
+    @pytest.mark.parametrize("name", AUTOMATA)
+    def test_run_matches_oracle(self, name, sym, longest):
+        ra = self.AUTOMATA[name](sym)
+        variants = single_final_variants(ra)
+        types, schemes = (equality_types, self.EQUALITY) if sym is EQ else (order_types, self.ORDER)
+        for n in range(longest + 1):
+            for w in types(n):
+                for scheme in schemes.values():
+                    word = scheme(w)
+                    assert live_by_run(ra, word, variants) == oracle_live(ra, word), (name, word)
+
+    def test_the_corpus_counts_orbits(self):
+        """Bell numbers under equality, Fubini numbers under total order."""
+        assert [len(equality_types(n)) for n in range(7)] == [1, 1, 2, 5, 15, 52, 203]
+        assert [len(order_types(n)) for n in range(6)] == [1, 1, 3, 13, 75, 541]
+
+
+class TestOutOfDomainOnTheSkipPath:
+    """`run` checks a letter's domain inline and calls `check_atom` only when
+    that check fails, so a bad letter raises `check_atom`'s exception, with
+    its message, before the frontier stays and after."""
+
+    # before any letter, before the frontier stays, on the letter that stays it, and two letters after
+    PREFIXES = ([], [5], [5, 3], [5, 3, 2, 1])
+
+    @pytest.mark.parametrize("make, letter", [(first_repeat_automaton, a) for a in (True, -1, 1.5, Fraction(1, 2), "a")]
+                             + [(ascent_automaton, a) for a in (True, 1.5)])
+    def test_raises_as_check_atom(self, make, letter):
+        ra = make()
+        want = outcome(check_atom, ra.sym, letter)
+        assert want[0] is ValueError
+        for prefix in self.PREFIXES:
+            assert outcome(run, ra, [*prefix, letter]) == want
+            assert outcome(run, ra, [*prefix, letter, 4]) == want
+
+    @pytest.mark.parametrize("make", [first_repeat_automaton, ascent_automaton])
+    def test_an_int_subclass_is_accepted(self, make):
+        class Nat(int):
+            pass
+
+        ra = make()
+        for word in ([Nat(5), Nat(3), 3, Nat(2)], [Nat(5), Nat(3), 3, Nat(2), Nat(5)], [5, Nat(3), Nat(7)]):
+            assert run(ra, word) == oracle_run(ra, word)
+            assert live_by_run(ra, word) == oracle_live(ra, word)
+
+    @pytest.mark.parametrize("make", [ascent_automaton, lambda: guess_store_automaton("total-order")])
+    def test_ints_and_equal_fractions_mixed(self, make):
+        """Every word of length at most 4 over `1, 2, Fraction(2), 5/2, 3`."""
+        ra = make()
+        variants = single_final_variants(ra)
+        pool = (1, 2, Fraction(2), Fraction(5, 2), 3)
+        for n in range(5):
+            for word in itertools.product(pool, repeat=n):
+                assert live_by_run(ra, word, variants) == oracle_live(ra, word), word
+
+
+class TestSkippedLettersMakeNoCall:
+    """A letter that `run` skips is checked and located inline: spies on
+    `check_atom` and on every locator, set before the automaton is built so
+    that `ra._locate` is one of them, count a few calls per step of the
+    frontier, not one per letter.  No clock."""
+
+    SPIED = ("check_atom", "_among", "_between", "_by_floor", "_ranked", "_successors")
+
+    @pytest.mark.parametrize("accept", [True, False])
+    @pytest.mark.parametrize("make_ra, make", [(first_repeat_automaton, TestOneStepPerOrbit.repeat_word),
+                                               (ascent_automaton, TestOneStepPerOrbit.ascent_word)])
+    def test_two_thousand_letters(self, monkeypatch, make_ra, make, accept):
+        calls = Counter()
+        for name in self.SPIED:
+            def spied(*args, _inner=getattr(automata_module, name), _name=name):
+                calls[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(automata_module, name, spied)
+        ra = make_ra()
+        assert ra._locate in (automata_module._among, automata_module._between)
+        word = make(Random(37), 2000, accept)
+        assert run(ra, word) is accept
+        steps = calls.pop("_successors")  # `run`'s steps and `_inert`'s probes
+        assert 0 < steps <= 8
+        assert all(n <= 3 * steps for n in calls.values()), calls
