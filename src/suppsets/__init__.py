@@ -4,9 +4,10 @@ The pieces fit together like this: `atoms` fixes the data alphabets and
 their renaming monoids; `supported` gives the finite category of supported
 sets; `freenom` freely extends a supported set with a monoid action;
 `presentations` quotients such extensions by finitely many equations;
-`binding` relates de Bruijn-style binding to nominal abstraction; and
-`automata` runs register automata over data words via their configuration
-spaces.
+`binding` relates de Bruijn-style binding to nominal abstraction and
+needs only `atoms`; and `automata` runs register automata over data words
+via their configurations, elements of the free extension of the location
+set.
 
 `import suppsets` imports none of them: each public name below is looked
 up in its layer on first use (PEP 562), so a caller pays only for the
@@ -17,8 +18,8 @@ import sys
 
 _PUBLIC = {
     "atoms": (
-        "Atom", "FiniteMap", "GlobalMap", "Support", "SymmetryId", "apply", "compose",
-        "extend_to_global", "fresh", "identity", "inverse", "is_admissible",
+        "Atom", "FiniteMap", "GlobalMap", "NominalCarrier", "Support", "SymmetryId", "apply",
+        "compose", "extend_to_global", "fresh", "identity", "inverse", "is_admissible",
         "lock_free_witness", "transposition",
     ),
     "supported": (
@@ -27,8 +28,8 @@ _PUBLIC = {
         "product", "ufs_support",
     ),
     "freenom": (
-        "ExtElem", "NominalCarrier", "RestrictedMap", "act", "ext_enumerate", "ext_map",
-        "ext_support", "extend", "mult", "restrict", "unit",
+        "ExtElem", "RestrictedMap", "act", "ext_enumerate", "ext_map", "ext_support", "extend",
+        "mult", "restrict", "unit",
     ),
     "presentations": (
         "AtomPool", "FinPresentation", "QuotElem", "act_quot", "default_pool",
@@ -39,8 +40,8 @@ _PUBLIC = {
         "from_debruijn", "maxidx", "phi", "phi_inv", "sigma", "supp_abs", "to_debruijn",
     ),
     "automata": (
-        "Config", "Guard", "INPUT", "Literal", "Nfa", "Reg", "RegisterAutomaton",
-        "determinize_generic", "eval_guard", "reachable_orbits", "run", "step", "validate",
+        "Guard", "INPUT", "Literal", "Nfa", "Reg", "RegisterAutomaton", "determinize_generic",
+        "eval_guard", "reachable_orbits", "run", "step", "validate",
     ),
 }
 _LAYER_OF = {name: layer for layer, names in _PUBLIC.items() for name in names}

@@ -13,8 +13,9 @@ uses :class:`fractions.Fraction` throughout; floats are rejected.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
-from collections.abc import Collection, Iterable, Iterator, Mapping
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -296,6 +297,19 @@ def inverse(g: GlobalMap) -> GlobalMap:
     if len(set(tgts)) != len(tgts):
         raise ValueError("map is not invertible")
     return GlobalMap(g.sym, tuple(sorted((b, a) for a, b in g.entries)))
+
+
+@dataclass(frozen=True)
+class NominalCarrier:
+    """A value domain with a decidable equality, an action, and supports.
+
+    The action must satisfy act(id, v) = v and act(g, act(h, v)) =
+    act(g∘h, v); supports must shrink along the action.
+    """
+
+    act: Callable[[GlobalMap, object], object]
+    supp: Callable[[object], Support]
+    eq: Callable[[object, object], bool] = operator.eq
 
 
 def extend_to_global(sym: SymmetryId, p: FiniteMap) -> GlobalMap:

@@ -7,8 +7,10 @@ from the old contents and the current input value.  Inside a transition,
 register a; in the shifted index view the input is atom 0 and the old
 register k is atom k+1.
 
-A configuration pairs a location with an admissible register valuation;
-stepping through all matching transitions yields the (finitely branching)
+A configuration is an element `ExtElem(pi, base)` of the free extension
+of the location set: its base is a location and `pi` an admissible
+valuation of that location's registers, and `freenom.act` renames it.
+Stepping through all matching transitions yields the (finitely branching)
 configuration automaton.  `determinize_generic` exposes the construction
 generically: with finite-powerset side effects it is the classical subset
 construction, with free-nominal side effects it is the configuration
@@ -56,10 +58,9 @@ from typing import Iterable
 from .atoms import (
     Atom,
     FiniteMap,
-    GlobalMap,
     Support,
     SymmetryId,
-    apply,
+    apply,  # unused here, as `b_support` below: the benchmark's trace wraps it
     atom_from_json,
     atom_to_json,
     check_atom,
@@ -67,8 +68,8 @@ from .atoms import (
     order_type,
 )
 from .binding import b_support  # unused here; the benchmark's trace.IMPORT_POINTS wraps it
-from .freenom import RestrictedMap
-from .supported import SuppSet, suppset_from_json, suppset_to_json
+from .freenom import ExtElem, RestrictedMap
+from .supported import SuppSet, json_array, suppset_from_json, suppset_to_json
 
 
 def relations(sym: SymmetryId) -> tuple:
@@ -155,16 +156,8 @@ class RegisterAutomaton:
         return self._by_source.get(loc, ())
 
 
-@dataclass(frozen=True)
-class Config:
-    """A location plus an admissible valuation of its registers."""
-
-    loc: object
-    valuation: RestrictedMap
-
-
-def initial_config(ra: RegisterAutomaton) -> Config:
-    return Config(ra.initial, RestrictedMap(ra.sym, FiniteMap.of({})))
+def initial_config(ra: RegisterAutomaton) -> ExtElem:
+    return ExtElem(RestrictedMap(ra.sym, FiniteMap.of({})), ra.initial)
 
 
 @dataclass(frozen=True)
@@ -239,22 +232,22 @@ def eval_guard(g: Guard, val: RestrictedMap, input_atom: Atom) -> bool:
     return True
 
 
-def step_full(ra: RegisterAutomaton, c: Config, input_atom: Atom):
+def step_full(ra: RegisterAutomaton, c: ExtElem, input_atom: Atom):
     """Successor configurations, one per enabled transition and in transition
     order, plus the successors dropped as inadmissible.  `RestrictedMap`
     decides admissibility; `is_admissible` runs only when it refuses.
     `_successors` calls this once per automaton and orbit, on a template of
     natural-number values, so the constructor runs once per orbit too."""
     kept, dropped = [], []
-    for t in ra.outgoing(c.loc):
-        if not eval_guard(t.guard, c.valuation, input_atom):
+    for t in ra.outgoing(c.base):
+        if not eval_guard(t.guard, c.pi, input_atom):
             continue
         images = {}
         for reg, ref in t.assign:
-            images[reg] = input_atom if isinstance(ref, InputRef) else c.valuation(ref.atom)
+            images[reg] = input_atom if isinstance(ref, InputRef) else c.pi(ref.atom)
         fm = FiniteMap.of(images)
         try:
-            kept.append(Config(t.target, RestrictedMap(ra.sym, fm)))
+            kept.append(ExtElem(RestrictedMap(ra.sym, fm), t.target))
         except ValueError:
             if is_admissible(ra.sym, fm):  # raises on an out-of-domain atom
                 raise
@@ -267,18 +260,18 @@ def step_full(ra: RegisterAutomaton, c: Config, input_atom: Atom):
 # Inside a walk a configuration is a key `(location, registers, values)`:
 # two tuples in register order, so the key is the valuation's entries split.
 
-def _key(c: Config) -> tuple:
-    entries = c.valuation.images.entries
-    return c.loc, tuple([r for r, _ in entries]), tuple([v for _, v in entries])
+def _key(c: ExtElem) -> tuple:
+    entries = c.pi.images.entries
+    return c.base, tuple([r for r, _ in entries]), tuple([v for _, v in entries])
 
 
-def _own_keys(ra: RegisterAutomaton, configs: Iterable[Config]):
+def _own_keys(ra: RegisterAutomaton, configs: Iterable[ExtElem]):
     """The keys of configurations a caller hands in.  One whose valuation
     was built under another symmetry is checked against `ra.sym` first: the
     loop trusts every valuation it steps to be admissible."""
     for c in configs:
-        if c.valuation.sym is not ra.sym:
-            RestrictedMap(ra.sym, c.valuation.images)
+        if c.pi.sym is not ra.sym:
+            RestrictedMap(ra.sym, c.pi.images)
         yield _key(c)
 
 
@@ -290,7 +283,7 @@ def _config_key(k: tuple):
 def _configs(ra: RegisterAutomaton, keys) -> tuple:
     """The keys' configurations, sorted by `_config_key` (ties keep the
     keys' order)."""
-    return tuple(Config(loc, RestrictedMap(ra.sym, FiniteMap(tuple(zip(regs, vals)))))
+    return tuple(ExtElem(RestrictedMap(ra.sym, FiniteMap(tuple(zip(regs, vals)))), loc)
                  for loc, regs, vals in sorted(keys, key=_config_key))
 
 
@@ -377,7 +370,7 @@ def _successors(ra: RegisterAutomaton, keys, letters) -> list:
             succs = orbits.get((loc, regs, code))
             if succs is None:
                 ranks = [ext.index(v) for v in (*vals, a)]
-                c = Config(loc, RestrictedMap(ra.sym, FiniteMap(tuple(zip(regs, ranks)))))
+                c = ExtElem(RestrictedMap(ra.sym, FiniteMap(tuple(zip(regs, ranks)))), loc)
                 same = _key(c)
                 succs = orbits[loc, regs, code] = tuple(
                     None if k == same else k for k in map(_key, step_full(ra, c, ranks[-1])[0]))
@@ -386,7 +379,7 @@ def _successors(ra: RegisterAutomaton, keys, letters) -> list:
     return list(dict.fromkeys(out)) if len(out) > 1 else out  # one key needs no hashing
 
 
-def step(ra: RegisterAutomaton, c: Config, input_atom: Atom) -> tuple:
+def step(ra: RegisterAutomaton, c: ExtElem, input_atom: Atom) -> tuple:
     return ConfigAutomaton(ra).successor((c,), input_atom)
 
 
@@ -486,12 +479,15 @@ def run(ra: RegisterAutomaton, word: Iterable[Atom]) -> bool:
                 del inert[key]
                 changed = True
                 for v in key[2]:
-                    del holders[v][key]
+                    held = holders[v]
+                    del held[key]
+                    if not held:  # so `holders` keys the inert keys' values
+                        del holders[v]
         # both lists are without repeats: same length, then the same keys in any order
         if not changed and len(next_active) == len(active) and (
                 next_active == active or set(next_active) == set(active)):
             if values is None:  # distinct and increasing: `_between` needs it, the others accept it
-                values = tuple(sorted({v for _, _, vals in (*active, *inert) for v in vals}))
+                values = tuple(sorted({*holders, *(v for _, _, vals in active for v in vals)}))
                 if locate is _between:
                     floors = [n // d for n, d in (v.as_integer_ratio() for v in values)]
                 elif locate is _among:
@@ -500,12 +496,6 @@ def run(ra: RegisterAutomaton, word: Iterable[Atom]) -> bool:
         else:
             active, values, floors, position, stays = next_active, None, None, None, set()
     return any(loc in ra.final for loc, _, _ in (*active, *inert))
-
-
-def act_config(g: GlobalMap, c: Config) -> Config:
-    """Rename the stored data values; register names stay put."""
-    images = FiniteMap.of({a: apply(g, v) for a, v in c.valuation.images.items()})
-    return Config(c.loc, RestrictedMap(g.sym, images))
 
 
 # --- generalized determinization ---
@@ -584,7 +574,7 @@ class ConfigAutomaton:
     ra: RegisterAutomaton
 
     @property
-    def initial(self) -> Config:
+    def initial(self) -> ExtElem:
         return initial_config(self.ra)
 
     def successor(self, configs, input_atom):
@@ -645,12 +635,12 @@ def reachable_configs(ra: RegisterAutomaton, pool: Support, depth: int) -> tuple
     return _configs(ra, seen)
 
 
-def _same_orbit(c1: Config, c2: Config) -> bool:
+def _same_orbit(c1: ExtElem, c2: ExtElem) -> bool:
     """Same location and register domain: under a group symmetry, the value
     map one admissible valuation forces onto another of the same registers
     is injective (equality) or monotone (total order), and a global map
     extends it."""
-    return c1.loc == c2.loc and c1.valuation.domain == c2.valuation.domain
+    return c1.base == c2.base and c1.pi.domain == c2.pi.domain
 
 
 def reachable_orbits(ra: RegisterAutomaton, pool: Support, depth: int) -> OrbitSummary:
@@ -664,7 +654,7 @@ def reachable_orbits(ra: RegisterAutomaton, pool: Support, depth: int) -> OrbitS
     configs = reachable_configs(ra, pool, depth)
     reps = {}
     for c in configs:
-        kept = reps.setdefault(c.loc, [])
+        kept = reps.setdefault(c.base, [])
         if not any(_same_orbit(r, c) for r in kept):
             kept.append(c)
     per_loc = tuple((q, len(reps.get(q, ()))) for q in ra.locations.elements)
@@ -726,6 +716,6 @@ def automaton_from_json(d: dict) -> RegisterAutomaton:
         sym=sym,
         locations=locations,
         initial=d["initial"],
-        final=d["final"],
+        final=json_array(d["final"], "final"),
         transitions=tuple(transitions),
     )

@@ -21,6 +21,7 @@ from operator import attrgetter
 
 from .atoms import (
     GlobalMap,
+    NominalCarrier,
     Support,
     SymmetryId,
     apply,
@@ -30,7 +31,6 @@ from .atoms import (
     inverse,
     transposition,
 )
-from .freenom import NominalCarrier
 
 _EQ = SymmetryId.EQUALITY
 

@@ -9,19 +9,21 @@ The extension is a monad: `unit` embeds base elements with the identity
 reassignment, and `mult` collapses a reassignment-of-a-reassignment by
 pointwise composition.  `extend` is the universal property: any
 support-shrinking valuation of the bases into a carrier with a monoid
-action extends uniquely to an action-compatible map on the extension.
+action extends uniquely to an action-compatible map on the extension
+(such a carrier is an `atoms.NominalCarrier`).  The configurations of a
+register automaton are the elements of the extension of its location set.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 
 from .atoms import (
     FiniteMap,
     GlobalMap,
+    NominalCarrier,
     Support,
     SymmetryId,
     apply,
@@ -127,19 +129,6 @@ def mult(outer: RestrictedMap, e: ExtElem) -> ExtElem:
             f"outer domain {tuple(outer.domain)} != element support {tuple(ext_support(e))}"
         )
     return act_finite(outer, e)
-
-
-@dataclass(frozen=True)
-class NominalCarrier:
-    """A value domain with a decidable equality, an action, and supports.
-
-    The action must satisfy act(id, v) = v and act(g, act(h, v)) =
-    act(g∘h, v); supports must shrink along the action.
-    """
-
-    act: Callable[[GlobalMap, object], object]
-    supp: Callable[[object], Support]
-    eq: Callable[[object, object], bool] = operator.eq
 
 
 class ExtendPreconditionError(ValueError):

@@ -325,9 +325,17 @@ def suppset_to_json(X: SuppSet) -> dict:
     }
 
 
+def json_array(v, where: str) -> list:
+    """`v`, which must be a JSON array: a string or an object would be
+    iterated by its characters or keys without complaint."""
+    if not isinstance(v, list):
+        raise TypeError(f"{where} must be a JSON array, not {type(v).__name__}")
+    return v
+
+
 def suppset_from_json(d: dict, sym: SymmetryId) -> SuppSet:
     return SuppSet.of(
-        [(e["id"], Support.of(atom_from_json(a, sym) for a in e["support"]))
+        [(e["id"], Support.of(atom_from_json(a, sym) for a in json_array(e["support"], "support")))
          for e in d["elements"]]
     )
 

@@ -20,7 +20,6 @@ from suppsets.atoms import (
 )
 from suppsets.automata import (
     PfSubsets,
-    act_config,
     determinize_generic,
     initial_config,
     reachable_orbits,
@@ -55,6 +54,7 @@ from suppsets.checks import (
 from suppsets.freenom import (
     ExtElem,
     RestrictedMap,
+    act,
     ext_enumerate,
     ext_support,
     identity_restriction,
@@ -375,10 +375,10 @@ def test_criterion_9_configuration_equivariance():
             g = random_global(rng, sym, pool)
             c = rng.choice(reach)
             a = rng.choice(atoms)
-            lhs = step(ra, act_config(g, c), apply(g, a))
+            lhs = step(ra, act(g, c), apply(g, a))
             rhs = tuple(sorted(
-                (act_config(g, s) for s in step(ra, c, a)),
-                key=lambda s: (str(s.loc), s.valuation.images.entries),
+                (act(g, s) for s in step(ra, c, a)),
+                key=lambda s: (str(s.base), s.pi.images.entries),
             ))
             checks += 1
             if lhs != rhs:

@@ -18,10 +18,10 @@ from suppsets.atoms import (
     check_atom,
     is_admissible,
     pool_atoms,
+    transposition,
 )
 from suppsets import automata as automata_module
 from suppsets.automata import (
-    Config,
     ConfigAutomaton,
     ExtConfigs,
     Guard,
@@ -36,7 +36,6 @@ from suppsets.automata import (
     TRUE_GUARD,
     Transition,
     UnresolvedRegister,
-    act_config,
     automaton_from_json,
     automaton_to_json,
     determinize_generic,
@@ -59,7 +58,7 @@ from suppsets.checks import (
     random_global,
     random_nfa,
 )
-from suppsets.freenom import RestrictedMap
+from suppsets.freenom import ExtElem, RestrictedMap, act, check_ext_elem, unit
 from suppsets.supported import SuppSet
 
 EQ = SymmetryId.EQUALITY
@@ -68,7 +67,7 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def config(ra, loc, valuation):
-    return Config(loc, RestrictedMap(ra.sym, FiniteMap.of(valuation)))
+    return ExtElem(RestrictedMap(ra.sym, FiniteMap.of(valuation)), loc)
 
 
 class TestValidate:
@@ -238,10 +237,10 @@ class TestStep:
         """The frontier loop steps a valuation's order type, so it must be
         admissible for the automaton's symmetry; one built under another
         symmetry is checked against it on the way in."""
-        tied = Config("q1", RestrictedMap(SymmetryId.RENAMING, FiniteMap.of({0: 5, 1: 5})))
+        tied = ExtElem(RestrictedMap(SymmetryId.RENAMING, FiniteMap.of({0: 5, 1: 5})), "q1")
         with pytest.raises(ValueError, match=r"^\(\(0, 5\), \(1, 5\)\) is not admissible for equality$"):
             step(self.ra, tied, 3)
-        renamed = Config("q1", RestrictedMap(SymmetryId.RENAMING, FiniteMap.of({0: 5})))
+        renamed = ExtElem(RestrictedMap(SymmetryId.RENAMING, FiniteMap.of({0: 5})), "q1")
         assert step(self.ra, renamed, 5) == (config(self.ra, "qa", {}),)
 
     def test_inadmissible_successor_dropped_with_flag(self):
@@ -328,9 +327,9 @@ class TestEquivariance:
         g = random_global(rng, EQ, pool_atoms(EQ, 6))
         for c in (initial_config(ra), config(ra, "q1", {0: rng.randrange(6)})):
             a = rng.randrange(6)
-            lhs = step(ra, act_config(g, c), apply(g, a))
-            rhs = tuple(sorted((act_config(g, s) for s in step(ra, c, a)),
-                               key=lambda s: (str(s.loc), s.valuation.images.entries)))
+            lhs = step(ra, act(g, c), apply(g, a))
+            rhs = tuple(sorted((act(g, s) for s in step(ra, c, a)),
+                               key=lambda s: (str(s.base), s.pi.images.entries)))
             assert lhs == rhs
 
     @pytest.mark.parametrize("seed", range(10))
@@ -342,9 +341,9 @@ class TestEquivariance:
         atoms = tuple(pool)
         for c in (initial_config(ra), config(ra, "q1", {Fraction(0): rng.choice(atoms)})):
             a = rng.choice(atoms)
-            lhs = step(ra, act_config(g, c), apply(g, a))
-            rhs = tuple(sorted((act_config(g, s) for s in step(ra, c, a)),
-                               key=lambda s: (str(s.loc), s.valuation.images.entries)))
+            lhs = step(ra, act(g, c), apply(g, a))
+            rhs = tuple(sorted((act(g, s) for s in step(ra, c, a)),
+                               key=lambda s: (str(s.base), s.pi.images.entries)))
             assert lhs == rhs
 
     @pytest.mark.parametrize("seed", range(10))
@@ -354,6 +353,40 @@ class TestEquivariance:
         g = random_global(rng, EQ, pool_atoms(EQ, 6))
         word = [rng.randrange(6) for _ in range(rng.randint(0, 5))]
         assert run(ra, word) == run(ra, [apply(g, a) for a in word])
+
+
+class TestConfigsAreExtElems:
+    """A configuration is an element of the free extension of the location
+    set: the location is its base and the register valuation its `pi`."""
+
+    @pytest.mark.parametrize("sym", [EQ, ORD])
+    @pytest.mark.parametrize("name", ["first_repeat", "ascent_after_first"])
+    def test_reached_and_stepped_configs_are_ext_elems(self, name, sym):
+        ra = shipped_automaton(name, sym)
+        pool = pool_atoms(sym, 4)
+        reached = reachable_configs(ra, pool, 3)
+        assert len(reached) > 1
+        for c in reached:
+            assert check_ext_elem(ra.locations, c) is c
+            for a in pool:
+                for d in step(ra, c, a):
+                    assert check_ext_elem(ra.locations, d) is d
+
+    @pytest.mark.parametrize("make", [first_repeat_automaton, ascent_automaton,
+                                      lambda: shipped_automaton("first_repeat", EQ),
+                                      lambda: shipped_automaton("ascent_after_first", ORD)])
+    def test_initial_config_is_the_unit(self, make):
+        ra = make()
+        assert validate(ra).ok
+        assert initial_config(ra) == unit(ra.sym, ra.locations, ra.initial)
+        assert ConfigAutomaton(ra).initial == initial_config(ra)
+
+    def test_act_refuses_a_map_of_another_symmetry(self):
+        ra = first_repeat_automaton()
+        c = config(ra, "q1", {0: 5})
+        g = transposition(SymmetryId.RENAMING, 5, 6)
+        with pytest.raises(ValueError, match="^mixed symmetries$"):
+            act(g, c)
 
 
 class TestDeterminizeClassical:
@@ -455,8 +488,8 @@ def pairwise_orbits(ra, pool, depth) -> dict:
         return i
 
     def related(c1, c2):
-        e1, e2 = c1.valuation.images.entries, c2.valuation.images.entries
-        if c1.loc != c2.loc or [r for r, _ in e1] != [r for r, _ in e2]:
+        e1, e2 = c1.pi.images.entries, c2.pi.images.entries
+        if c1.base != c2.base or [r for r, _ in e1] != [r for r, _ in e2]:
             return False
         pairs = sorted({(x, y) for (_, x), (_, y) in zip(e1, e2)})
         if len({x for x, _ in pairs}) != len(pairs) or len({y for _, y in pairs}) != len(pairs):
@@ -469,7 +502,7 @@ def pairwise_orbits(ra, pool, depth) -> dict:
                 parent[find(i)] = find(j)
     roots = {}
     for i, c in enumerate(configs):
-        roots.setdefault(c.loc, set()).add(find(i))
+        roots.setdefault(c.base, set()).add(find(i))
     return {q: len(roots.get(q, ())) for q in ra.locations.elements}
 
 
@@ -619,15 +652,15 @@ def oracle_eval_guard(g, val, input_atom):
 
 def oracle_step_full(ra, c, input_atom):
     kept, dropped = [], []
-    for t in ra.outgoing(c.loc):
-        if not oracle_eval_guard(t.guard, c.valuation, input_atom):
+    for t in ra.outgoing(c.base):
+        if not oracle_eval_guard(t.guard, c.pi, input_atom):
             continue
         images = {}
         for reg, ref in t.assign:
-            images[reg] = input_atom if isinstance(ref, InputRef) else c.valuation(ref.atom)
+            images[reg] = input_atom if isinstance(ref, InputRef) else c.pi(ref.atom)
         fm = FiniteMap.of(images)
         try:
-            kept.append(Config(t.target, RestrictedMap(ra.sym, fm)))
+            kept.append(ExtElem(RestrictedMap(ra.sym, fm), t.target))
         except ValueError:
             if is_admissible(ra.sym, fm):
                 raise
@@ -677,7 +710,7 @@ class TestCompiledStepMatchesOracle:
 
     @staticmethod
     def letters(ra, c, rng):
-        pool = [0, 1, 2, 3, 4] + [v for _, v in c.valuation.images.items()]
+        pool = [0, 1, 2, 3, 4] + [v for _, v in c.pi.images.items()]
         if ra.sym is ORD:
             pool += [Fraction(1, 2), Fraction(7, 2)]
         return [rng.choice(pool) for _ in range(3)]
@@ -690,14 +723,14 @@ class TestCompiledStepMatchesOracle:
             values = sorted(rng.sample(range(6), len(regs)))
             if ra.sym is not ORD:
                 rng.shuffle(values)
-            yield Config(q, RestrictedMap(ra.sym, FiniteMap.of(dict(zip(regs, values)))))
+            yield ExtElem(RestrictedMap(ra.sym, FiniteMap.of(dict(zip(regs, values)))), q)
 
     def compare(self, ra, c, a):
         got = outcome(step_full, ra, c, a)
         assert got == outcome(oracle_step_full, ra, c, a)
-        for t in ra.outgoing(c.loc):
-            assert (outcome(eval_guard, t.guard, c.valuation, a)
-                    == outcome(oracle_eval_guard, t.guard, c.valuation, a))
+        for t in ra.outgoing(c.base):
+            assert (outcome(eval_guard, t.guard, c.pi, a)
+                    == outcome(oracle_eval_guard, t.guard, c.pi, a))
         return got
 
     @settings(max_examples=300, deadline=None)
@@ -749,15 +782,15 @@ def oracle_successors(ra, configs, letters):
     for c in configs:
         for a in letters:
             for succ in step_full(ra, c, a)[0]:
-                seen.setdefault((succ.loc, succ.valuation.images.entries), succ)
-    return tuple(sorted(seen.values(), key=lambda c: (str(c.loc), c.valuation.images.entries)))
+                seen.setdefault((succ.base, succ.pi.images.entries), succ)
+    return tuple(sorted(seen.values(), key=lambda c: (str(c.base), c.pi.images.entries)))
 
 
 def oracle_run(ra, word):
     frontier = (initial_config(ra),)
     for a in word:
         frontier = oracle_successors(ra, frontier, (a,))
-    return any(c.loc in ra.final for c in frontier)
+    return any(c.base in ra.final for c in frontier)
 
 
 def oracle_reachable_configs(ra, pool, depth):
@@ -769,7 +802,7 @@ def oracle_reachable_configs(ra, pool, depth):
         if not frontier:
             break
         seen.update(dict.fromkeys(frontier))
-    return tuple(sorted(seen, key=lambda c: (str(c.loc), c.valuation.images.entries)))
+    return tuple(sorted(seen, key=lambda c: (str(c.base), c.pi.images.entries)))
 
 
 class TestOrbitMemoMatchesOracle:
@@ -966,7 +999,7 @@ class TestPositionsAgreeWithOracle:
 
     def test_every_position_is_reached(self):
         ra = positions_automaton()
-        reached = {c.loc for c in reachable_configs(ra, Support.of([1, 2, 3, 5, 9]), 3)}
+        reached = {c.base for c in reachable_configs(ra, Support.of([1, 2, 3, 5, 9]), 3)}
         assert {"below", "on0", "mid", "on1", "above", "kept", "wide"} <= reached
 
     def test_register_value_wins(self):
@@ -974,7 +1007,7 @@ class TestPositionsAgreeWithOracle:
         keeps the first of equal values: `Fraction(2)` for input `2`."""
         ra = positions_automaton()
         c = config(ra, "two", {0: Fraction(2), 1: 5})
-        kept = [d.valuation(1) for d in step(ra, c, 2) if d.loc == "kept"]
+        kept = [d.pi(1) for d in step(ra, c, 2) if d.base == "kept"]
         assert kept == [2] and type(kept[0]) is Fraction
 
 
@@ -1129,7 +1162,7 @@ class TestOneStepPerOrbit:
             steps = Counter()
 
             def counted(ra, c, a):
-                steps[c.loc, c.valuation.domain] += 1
+                steps[c.base, c.pi.domain] += 1
                 return step_full(ra, c, a)
 
             monkeypatch.setattr(automata_module, "step_full", counted)
@@ -1156,7 +1189,7 @@ class TestOrbitTable:
         steps = []
 
         def counted(ra, c, a):
-            steps.append((c.loc, c.valuation.images.entries, a))
+            steps.append((c.base, c.pi.images.entries, a))
             return step_full(ra, c, a)
 
         monkeypatch.setattr(automata_module, "step_full", counted)
@@ -1227,7 +1260,7 @@ class TestInertKeys:
             calls = spy_successors(monkeypatch)
             accepted = run(ra, word)
             monkeypatch.undo()
-            assert accepted and any(c.loc == "acc" for c in states[-1])
+            assert accepted and any(c.base == "acc" for c in states[-1])
             for keys, (a,), _ in calls:
                 assert all(loc in ("s0", "s1") or a in vals for loc, _, vals in keys)
             handed, frontiers = sum(len(keys) for keys, _, _ in calls), sum(map(len, states[:-1]))
@@ -1334,7 +1367,7 @@ def oracle_live(ra, word) -> set:
     frontier = (initial_config(ra),)
     for a in word:
         frontier = oracle_successors(ra, frontier, (a,))
-    return {c.loc for c in frontier}
+    return {c.base for c in frontier}
 
 
 def live_by_run(ra, word, variants=None) -> set:

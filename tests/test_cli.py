@@ -200,6 +200,39 @@ class TestMalformedShapes:
         code, _, err = run_cli(capsys, "quot", "eq", PAIRS, '{"pi": {}, "base": "g"}', "[3]")
         assert code == 2 and err.startswith("error: element [3]: wrong JSON shape: ")
 
+    # A string or an object where an array belongs would be iterated by its
+    # characters or keys: "qa" as the final locations q and a, "01" as the
+    # support {0, 1}.
+    @staticmethod
+    def assert_shape_error(capsys, fmt, argv, message):
+        code, out, err = run_cli(capsys, "--format", fmt, *argv)
+        assert code == 2
+        assert json.loads(out)["errors"] == [message] if fmt == "json" else err == f"error: {message}"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("final, typename", [("qa", "str"), ({"q": 0, "a": 1}, "dict")])
+    def test_final_must_be_an_array(self, capsys, tmp_path, fmt, final, typename):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"symmetry": "equality", "initial": "q", "final": final, "transitions": [],
+                                   "locations": {"elements": [{"id": "q", "support": []},
+                                                              {"id": "a", "support": []}]}}))
+        self.assert_shape_error(capsys, fmt, ["validate", str(bad)],
+                                f"{bad}: wrong JSON shape: final must be a JSON array, not {typename}")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("support, typename", [("01", "str"), ({"0": 1}, "dict")])
+    def test_support_must_be_an_array(self, capsys, tmp_path, fmt, support, typename):
+        elements = {"elements": [{"id": "g", "support": support}]}
+        bad = tmp_path / "bad.json"
+        for doc, argv in (
+                ({"symmetry": "equality", "generators": elements, "equations": []},
+                 ["quot", "count", str(bad), "--pool", "3"]),
+                ({"symmetry": "equality", "locations": elements, "initial": "g", "final": [], "transitions": []},
+                 ["validate", str(bad)])):
+            bad.write_text(json.dumps(doc))
+            self.assert_shape_error(capsys, fmt, argv,
+                                    f"{bad}: wrong JSON shape: support must be a JSON array, not {typename}")
+
     def test_key_and_value_errors_keep_their_messages(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"symmetry": "nominal"}))
