@@ -23,7 +23,7 @@ _PUBLIC = {
         "lock_free_witness", "transposition",
     ),
     "supported": (
-        "SuppMap", "SuppSet", "check_supported_map", "classify_regular_subobject",
+        "SuppMap", "SuppSet", "b_support", "check_supported_map", "classify_regular_subobject",
         "coequalizer", "coproduct", "equalizer", "exponential", "is_iso", "pf_support",
         "product", "ufs_support",
     ),
@@ -36,8 +36,8 @@ _PUBLIC = {
         "element_count", "orbit_count", "quot_eq", "supp_of",
     ),
     "binding": (
-        "AbsClass", "App", "DbApp", "DbLam", "Idx", "Lam", "Var", "alpha_eq", "b_support",
-        "from_debruijn", "maxidx", "phi", "phi_inv", "sigma", "supp_abs", "to_debruijn",
+        "AbsClass", "App", "DbApp", "DbLam", "Idx", "Lam", "Var", "alpha_eq", "from_debruijn",
+        "maxidx", "phi", "phi_inv", "sigma", "supp_abs", "to_debruijn",
     ),
     "automata": (
         "Guard", "INPUT", "Literal", "Nfa", "Reg", "RegisterAutomaton", "determinize_generic",

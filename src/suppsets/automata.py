@@ -32,13 +32,7 @@ the full order type of the values and the input.
 configuration automaton supported by the values of its configurations:
 letters in one position among those values step it alike.  Once a letter
 leaves the frontier unchanged, every later letter in its position is
-skipped until the frontier changes, at the cost of locating the letter
-and one set lookup.  Under equality a table from value to position
-locates it; under total order integer floors do (`_by_floor`): it is
-compared as a `Fraction` only with the values that share its floor.  The
-domain check and both locators are inline, so a skipped letter makes no
-call of this package: about 0.05 µs on a `first_repeat` word and 0.15 µs
-on an ascent word (20,000 letters, 2-core machine).
+skipped until the frontier changes; `run` says how it locates them.
 
 It applies the argument to each configuration too, which its own values
 support: every letter that is none of them (new under equality, in a gap
@@ -50,7 +44,7 @@ Under renaming no position is off the values, so nothing is inert.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -60,16 +54,15 @@ from .atoms import (
     FiniteMap,
     Support,
     SymmetryId,
-    apply,  # unused here, as `b_support` below: the benchmark's trace wraps it
+    apply,  # unused here, as `b_support` below: the benchmark's trace wraps both
     atom_from_json,
     atom_to_json,
     check_atom,
     is_admissible,
     order_type,
 )
-from .binding import b_support  # unused here; the benchmark's trace.IMPORT_POINTS wraps it
 from .freenom import ExtElem, RestrictedMap
-from .supported import SuppSet, json_array, suppset_from_json, suppset_to_json
+from .supported import SuppSet, b_support, json_array, suppset_from_json, suppset_to_json
 
 
 def relations(sym: SymmetryId) -> tuple:
@@ -298,22 +291,6 @@ def _between(vals: tuple, a) -> tuple:
     return 2 * p, (*vals[:p], a, *vals[p:])
 
 
-def _by_floor(vals: tuple, floors: list, a) -> int:
-    """`_between(vals, a)[0]` in integer arithmetic, where `floors` holds the
-    floors of `vals`: a value whose floor is below `a`'s is below `a`, and
-    one whose floor is above it is above `a`.  So `a` lies in the gap
-    before the first value of a greater floor unless some values share its
-    floor; only those are compared with `a`, exactly as `_between` would."""
-    n, d = a.as_integer_ratio()
-    f = n // d
-    p = bisect_left(floors, f)
-    if p == len(floors) or floors[p] != f:
-        return 2 * p
-    q = bisect_right(floors, f, p)
-    p = bisect_left(vals, a, p, q)
-    return 2 * p + 1 if p < q and vals[p] == a else 2 * p
-
-
 def _among(vals: tuple, a) -> tuple:
     """Equality without `lt`: `vals` is injective, so `a` is register `i`'s
     value (code `i`) or none of them (code `k`)."""
@@ -413,16 +390,15 @@ def run(ra: RegisterAutomaton, word: Iterable[Atom]) -> bool:
     a map that fixes `values` and so the frontier, and step it alike.  When
     a step leaves the frontier as it was, `stays` records the position, and
     every later letter there costs its domain check, locating it and one
-    set lookup, with no step and no call: `check_atom` runs only on a
-    letter that is not a plain natural (or, under total order, a plain
-    `Fraction`).  Under `_among`, `position` maps each of `values` to its
-    code, and a new letter has code `k`.  Under `_between`, `floors`, the
-    integer floors of `values`, locates it: a letter whose floor no value
-    shares is compared with none of them, and `_by_floor` runs only for
-    one whose floor some value shares.  On a 2-core machine a skipped
-    letter costs about 0.05 µs on a `first_repeat` word and 0.15 µs on an
-    ascent word.  `_ranked` calls `ra._locate`.  A frontier that changes
-    starts new `values`, `floors`, `position` and `stays`.
+    set lookup, with no step: `check_atom` runs only on a letter that is
+    not a plain natural (or, under total order, a plain `Fraction`).
+    Under `_among`, `position` maps each of `values` to its code, and a new
+    letter has code `k`.  Under `_between`, `floors`, the integer floors of
+    `values`, locates it: a letter whose floor no value shares is in the
+    gap before the first value of a higher floor, and only one whose floor
+    some value shares calls `_between`.  `_ranked` calls `ra._locate`.  A
+    frontier that changes starts new `values`, `floors`, `position` and
+    `stays`.
 
     By the same argument a single key is moved only by a letter among its
     own values when every other position keeps it as it is (`_inert`).
@@ -446,11 +422,11 @@ def run(ra: RegisterAutomaton, word: Iterable[Atom]) -> bool:
         if stays:
             if position is not None:
                 code = position.get(a, k)
-            elif floors is not None:  # `_by_floor` inline, up to a value that shares `a`'s floor
+            elif floors is not None:  # `_between` by floors, unless a value shares `a`'s floor
                 n, d = a.as_integer_ratio()
                 f = n // d
                 p = bisect_left(floors, f)
-                code = 2 * p if p == len(floors) or floors[p] != f else _by_floor(values, floors, a)
+                code = 2 * p if p == len(floors) or floors[p] != f else locate(values, a)[0]
             else:
                 code = locate(values, a)[0]
             if code in stays:
@@ -700,11 +676,11 @@ def automaton_from_json(d: dict) -> RegisterAutomaton:
     sym = SymmetryId.parse(d["symmetry"])
     locations = suppset_from_json(d["locations"], sym)
     transitions = []
-    for td in d["transitions"]:
+    for td in json_array(d["transitions"], "transitions"):
         guard = Guard(
             tuple(
                 Literal(bool(pol), rel, tuple(_ref_from_json(r, sym) for r in refs))
-                for pol, rel, refs in td.get("guard", [])
+                for pol, rel, refs in json_array(td.get("guard", []), "guard")
             )
         )
         assign = {

@@ -235,12 +235,7 @@ def act_abs(g: GlobalMap, a: AbsClass) -> AbsClass:
     return AbsClass(apply(g, a.binder), a.carrier.act(g, a.body), a.carrier)
 
 
-# --- the binder shift and the isomorphism ---
-
-def b_support(s: Support) -> Support:
-    """Support of a value under a nameless binder: shift down, dropping 0."""
-    return Support.of(a - 1 for a in s if a >= 1)
-
+# --- the rotation and the isomorphism ---
 
 def maxidx(s: Support) -> int:
     """One past the largest atom; 0 on the empty support."""

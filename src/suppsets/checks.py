@@ -338,7 +338,7 @@ def suite_binding(rng: Random, n: int) -> SuiteResult:
         x = random_term(rng, rng.randint(1, 5))
         a = B.phi(x)
         res.check(
-            B.supp_abs(a) == B.b_support(B.free_atoms(x)),
+            B.supp_abs(a) == SS.b_support(B.free_atoms(x)),
             f"phi is not support-reflecting at {B.show_named(x)}",
         )
         res.check(

@@ -43,7 +43,7 @@ from .freenom import (
     ext_enumerate,
     ext_support,
 )
-from .supported import SuppSet, UnionFind, suppset_from_json, suppset_to_json
+from .supported import SuppSet, UnionFind, json_array, suppset_from_json, suppset_to_json
 
 
 @dataclass(frozen=True)
@@ -372,6 +372,6 @@ def presentation_from_json(d: dict) -> FinPresentation:
     gens = suppset_from_json(d["generators"], sym)
     eqs = tuple(
         (ext_elem_from_json(lhs, sym), ext_elem_from_json(rhs, sym))
-        for lhs, rhs in d.get("equations", [])
+        for lhs, rhs in json_array(d.get("equations", []), "equations")
     )
     return FinPresentation(sym, gens, eqs)

@@ -4,7 +4,8 @@ A supported set is a finite carrier of opaque element ids together with a
 support function assigning each element a finite atom set.  A supported
 map may shrink supports but never grow them.  This module provides the
 finite-scale categorical toolkit: (co)products, (co)equalizers,
-exponentials, image factorizations, isomorphism and subobject tests.
+exponentials, image factorizations, isomorphism and subobject tests, and
+the supports of finite subsets and of values under a nameless binder.
 """
 
 from __future__ import annotations
@@ -315,6 +316,11 @@ def ufs_support(supports: Iterable[Support]) -> Support:
     return Support.of(a for s in supports for a in s)
 
 
+def b_support(s: Support) -> Support:
+    """Support of a value under a nameless binder: shift down, dropping 0."""
+    return Support.of(a - 1 for a in s if a >= 1)
+
+
 # --- JSON forms ---
 
 def suppset_to_json(X: SuppSet) -> dict:
@@ -336,7 +342,7 @@ def json_array(v, where: str) -> list:
 def suppset_from_json(d: dict, sym: SymmetryId) -> SuppSet:
     return SuppSet.of(
         [(e["id"], Support.of(atom_from_json(a, sym) for a in json_array(e["support"], "support")))
-         for e in d["elements"]]
+         for e in json_array(d["elements"], "elements")]
     )
 
 

@@ -30,7 +30,6 @@ from suppsets.binding import (
     AbsClass,
     alpha_eq,
     alpha_eq_terms,
-    b_support,
     free_atoms,
     phi,
     phi_inv,
@@ -72,6 +71,7 @@ from suppsets.presentations import (
 from suppsets.supported import (
     SuppMap,
     SuppSet,
+    b_support,
     check_supported_map,
     classify_regular_subobject,
     coequalizer,

@@ -50,7 +50,6 @@ from suppsets.automata import (
     step_full,
     validate,
 )
-from suppsets.binding import b_support
 from suppsets.checks import (
     ascent_automaton,
     first_repeat_automaton,
@@ -59,7 +58,7 @@ from suppsets.checks import (
     random_nfa,
 )
 from suppsets.freenom import ExtElem, RestrictedMap, act, check_ext_elem, unit
-from suppsets.supported import SuppSet
+from suppsets.supported import SuppSet, b_support
 
 EQ = SymmetryId.EQUALITY
 ORD = SymmetryId.TOTAL_ORDER
@@ -1032,28 +1031,8 @@ class CountedFraction(Fraction):
 
 class TestLocateByFloor:
     """On `run`'s stay path a total-order letter is located by the integer
-    floors of the frontier's values (`_by_floor`), and compared as a
-    `Fraction` only with the values that share its floor."""
-
-    POOL = (-3, Fraction(-5, 2), Fraction(-1, 3), 0, Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
-            1, 2, Fraction(2), Fraction(7, 3), Fraction(5, 2), 4)
-    # every value, and letters in the gaps and past both ends
-    LETTERS = POOL + (Fraction(-7, 2), -1, Fraction(-1, 6), Fraction(1, 4), Fraction(5, 12), Fraction(3, 5),
-                      Fraction(5, 6), Fraction(9, 4), 3, Fraction(9, 2), 10)
-
-    def test_matches_between(self):
-        """Values drawn from `POOL`: `2` and `Fraction(2)` are one value,
-        some are negative, and `1/3, 1/2, 2/3` share a floor."""
-        rng = Random(23)
-        codes = set()
-        for _ in range(300):
-            vals = tuple(sorted(set(rng.sample(self.POOL, rng.randint(0, len(self.POOL))))))
-            floors = [math.floor(v) for v in vals]
-            for a in self.LETTERS:
-                code = automata_module._by_floor(vals, floors, a)
-                assert code == automata_module._between(vals, a)[0]
-                codes.add(code % 2)
-        assert codes == {0, 1}
+    floors of the frontier's values, and compared as a `Fraction` (by
+    `_between`) only when some value shares its floor."""
 
     @pytest.mark.parametrize("accept", [False, True])
     def test_an_ascent_word_compares_a_constant_number_of_times(self, accept):
@@ -1424,7 +1403,7 @@ class TestEveryWordUpToSymmetry:
     }
     ORDER = {
         "naturals": list,
-        "one floor": lambda w: [Fraction(r + 1, len(w) + 1) for r in w],  # all in (0, 1): `_by_floor` compares
+        "one floor": lambda w: [Fraction(r + 1, len(w) + 1) for r in w],  # all in (0, 1): `_between` compares
         "k and Fraction(k)": lambda w: [Fraction(r) if i % 2 else r for i, r in enumerate(w)],
         # negative ints and halves, pairs of them on one floor
         "negatives": lambda w: [(r - 2 * len(w)) // 2 if r % 2 == 0 else Fraction(r - 2 * len(w), 2) for r in w],
@@ -1500,7 +1479,7 @@ class TestSkippedLettersMakeNoCall:
     that `ra._locate` is one of them, count a few calls per step of the
     frontier, not one per letter.  No clock."""
 
-    SPIED = ("check_atom", "_among", "_between", "_by_floor", "_ranked", "_successors")
+    SPIED = ("check_atom", "_among", "_between", "_ranked", "_successors")
 
     @pytest.mark.parametrize("accept", [True, False])
     @pytest.mark.parametrize("make_ra, make", [(first_repeat_automaton, TestOneStepPerOrbit.repeat_word),

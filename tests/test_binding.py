@@ -17,7 +17,6 @@ from suppsets.binding import (
     act_term,
     alpha_eq,
     alpha_eq_terms,
-    b_support,
     db_free_indices,
     debruijn_from_json,
     debruijn_to_json,
@@ -38,7 +37,7 @@ from suppsets.binding import (
 )
 from suppsets.checks import alpha_bruteforce, alpha_fresh_swap, random_term
 from suppsets.freenom import EXT_CARRIER, unit
-from suppsets.supported import SuppSet
+from suppsets.supported import SuppSet, b_support
 
 EQ = SymmetryId.EQUALITY
 

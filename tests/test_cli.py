@@ -1,7 +1,9 @@
 import argparse
 import io
 import json
+import operator
 from contextlib import redirect_stderr, redirect_stdout
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -232,6 +234,23 @@ class TestMalformedShapes:
             bad.write_text(json.dumps(doc))
             self.assert_shape_error(capsys, fmt, argv,
                                     f"{bad}: wrong JSON shape: support must be a JSON array, not {typename}")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("source, command, options", [
+        (FIRST_REPEAT, ("validate",), ()), (ASCENT, ("validate",), ()),
+        (PAIRS, ("quot", "count"), ("--pool", "3"))], ids=["first_repeat", "ascent_after_first", "unordered_pairs"])
+    def test_every_array_rejects_an_empty_string_and_object(self, capsys, tmp_path, fmt, source, command, options):
+        doc = json.loads(Path(source).read_text())
+        bad = tmp_path / "bad.json"
+        arrays = [path for path in _paths(doc) if isinstance(reduce(operator.getitem, path, doc), list)]
+        assert arrays
+        for path in arrays:
+            for empty in ("", {}):
+                bad.write_text(json.dumps(_replaced(doc, path, empty)))
+                code, out, err = run_cli(capsys, "--format", fmt, *command, str(bad), *options)
+                assert code == 2, (path, empty)
+                assert "Traceback" not in out + err
+                assert json.loads(out)["errors"] if fmt == "json" else out or err  # a validation report is on stdout
 
     def test_key_and_value_errors_keep_their_messages(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -22,14 +22,14 @@ DATA = ROOT / "data"
 PUBLIC = {
     "atoms": "Atom FiniteMap GlobalMap NominalCarrier Support SymmetryId apply compose "
              "extend_to_global fresh identity inverse is_admissible lock_free_witness transposition",
-    "supported": "SuppMap SuppSet check_supported_map classify_regular_subobject coequalizer "
-                 "coproduct equalizer exponential is_iso pf_support product ufs_support",
+    "supported": "SuppMap SuppSet b_support check_supported_map classify_regular_subobject "
+                 "coequalizer coproduct equalizer exponential is_iso pf_support product ufs_support",
     "freenom": "ExtElem RestrictedMap act ext_enumerate ext_map ext_support extend mult restrict "
                "unit",
     "presentations": "AtomPool FinPresentation QuotElem act_quot default_pool element_count "
                      "orbit_count quot_eq supp_of",
-    "binding": "AbsClass App DbApp DbLam Idx Lam Var alpha_eq b_support from_debruijn maxidx phi "
-               "phi_inv sigma supp_abs to_debruijn",
+    "binding": "AbsClass App DbApp DbLam Idx Lam Var alpha_eq from_debruijn maxidx phi phi_inv "
+               "sigma supp_abs to_debruijn",
     "automata": "Guard INPUT Literal Nfa Reg RegisterAutomaton determinize_generic eval_guard "
                 "reachable_orbits run step validate",
 }
@@ -63,13 +63,23 @@ def layers_loaded(code: str, *argv) -> set:
     return set(out.stdout.splitlines()[-1].split())
 
 
+AUTOMATA_LAYERS = {"atoms", "supported", "freenom", "automata"}
+
+
 class TestWhatLoads:
     def test_import_suppsets_loads_no_layer(self):
         assert layers_loaded("import suppsets") == set()
 
+    def test_automata_needs_no_binding(self):
+        assert layers_loaded("import suppsets.automata") == AUTOMATA_LAYERS
+
     def test_run(self):
         loaded = layers_loaded(_RUN_CLI, "run", str(DATA / "first_repeat.json"), str(DATA / "word_repeat.txt"))
-        assert "automata" in loaded and not loaded & {"presentations", "checks"}
+        assert loaded == AUTOMATA_LAYERS
+
+    @pytest.mark.parametrize("command", ["validate", "orbits"])
+    def test_validate_and_orbits(self, command):
+        assert layers_loaded(_RUN_CLI, command, str(DATA / "first_repeat.json")) == AUTOMATA_LAYERS
 
     def test_lambda_to_db(self):
         # the CLI itself runs as `__main__`, so it is not listed as `suppsets.cli`
