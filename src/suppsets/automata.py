@@ -36,10 +36,15 @@ skipped until the frontier changes; `run` says how it locates them.
 
 It applies the argument to each configuration too, which its own values
 support: every letter that is none of them (new under equality, in a gap
-under total order) steps it alike.  A configuration is inert when those
-letters keep it as it is: `run` indexes inert configurations by value and
-steps each only on a letter it holds, and steps the others on every letter.
-Under renaming no position is off the values, so nothing is inert.
+under total order) steps it alike, and so does every letter equal to one
+register's value.  A configuration is inert when the letters off its
+values keep it as it is: `run` indexes inert configurations by the values
+that move them and steps each only on a letter equal to one, and steps
+the others on every letter.  Under renaming no position is off the
+values, so nothing is inert.  A step changes the frontier by what it
+moves: a configuration the letter keeps as it is is not rebuilt or
+hashed, and only a successor new to the frontier is classified and
+indexed.
 """
 
 from __future__ import annotations
@@ -127,8 +132,8 @@ def make_transition(source, guard: Guard, target, assign) -> Transition:
 @dataclass(frozen=True)
 class RegisterAutomaton:
     """Frozen, so the tables it fills lazily hold for its whole life:
-    `_orbits`, the successor templates per orbit (`_successors`), and
-    `_inert`, the inert flag per location and registers (`_inert`)."""
+    `_orbits`, the successor templates per orbit (`_moves`), and `_inert`,
+    the inert flags per location and registers (`_inert`)."""
 
     sym: SymmetryId
     locations: SuppSet
@@ -229,7 +234,7 @@ def step_full(ra: RegisterAutomaton, c: ExtElem, input_atom: Atom):
     """Successor configurations, one per enabled transition and in transition
     order, plus the successors dropped as inadmissible.  `RestrictedMap`
     decides admissibility; `is_admissible` runs only when it refuses.
-    `_successors` calls this once per automaton and orbit, on a template of
+    `_moves` calls this once per automaton and orbit, on a template of
     natural-number values, so the constructor runs once per orbit too."""
     kept, dropped = [], []
     for t in ra.outgoing(c.base):
@@ -307,7 +312,7 @@ def _ranked(vals: tuple, a) -> tuple:
 
 
 def _locator(ra: RegisterAutomaton):
-    """How `_successors` names an orbit, as `(code, renaming target)`.
+    """How `_moves` names an orbit, as `(code, renaming target)`.
     Equality needs the full order type only when an (unvalidated) guard
     compares with `lt`, which `holds` evaluates; renaming needs it
     because its valuations need not be injective."""
@@ -319,10 +324,12 @@ def _locator(ra: RegisterAutomaton):
     return _ranked
 
 
-def _successors(ra: RegisterAutomaton, keys, letters) -> list:
-    """Every successor key of `keys` under any of `letters`, without repeats
-    and in discovery order.  Each letter is checked against the atom domain
-    here, once, whether or not a transition stores it.
+def _moves(ra: RegisterAutomaton, keys, letters, keep: bool = False) -> tuple:
+    """How `letters` step `keys`: `(gone, made)`, the keys that a letter
+    steps without keeping them as they are, and every successor that is not
+    the key it came from, in discovery order and with repeats.  With `keep`,
+    a key that a letter keeps is listed in `made` too, where its step lists
+    it.  The letters are trusted to be in the atom domain.
 
     A step observes only `eq`/`lt` between the input and the registers and
     admissibility, and it only copies atoms.  A strictly monotone map keeps
@@ -331,28 +338,44 @@ def _successors(ra: RegisterAutomaton, keys, letters) -> list:
     input's position among their values (`ra._locate`).  On the first
     hit of a position in the automaton's life, `step_full` runs on the
     ranks of the values and the input in the renaming target (naturals, so
-    atoms of every domain), and `ra._orbits` keeps the kept successors as
-    `(target, registers, value ranks)` templates; every hit renames them
-    back to the atoms.  A template that keeps the location, the registers
-    and their values in place is `None`, and appends the key as it is,
-    with no renamed tuple.  A position whose step raises is not stored."""
-    for a in letters:
-        check_atom(ra.sym, a)
+    atoms of every domain), and `ra._orbits` keeps `(stay, moved)`: the
+    successors other than the key itself as `(target, registers, value
+    ranks)` templates, and the index among them where the step lists the
+    key itself, or `None` when it does not.  Every hit renames the
+    templates back to the atoms; a key that stays costs no tuple.  A
+    position whose step raises is not stored."""
     locate, orbits = ra._locate, ra._orbits
-    out = []
+    gone, made = [], []
     for key in keys:
         loc, regs, vals = key
         for a in letters:
             code, ext = locate(vals, a)
-            succs = orbits.get((loc, regs, code))
-            if succs is None:
+            entry = orbits.get((loc, regs, code))
+            if entry is None:
                 ranks = [ext.index(v) for v in (*vals, a)]
                 c = ExtElem(RestrictedMap(ra.sym, FiniteMap(tuple(zip(regs, ranks)))), loc)
                 same = _key(c)
-                succs = orbits[loc, regs, code] = tuple(
-                    None if k == same else k for k in map(_key, step_full(ra, c, ranks[-1])[0]))
-            for t in succs:
-                out.append(key if t is None else (t[0], t[1], tuple([ext[r] for r in t[2]])))
+                succs = [None if k == same else k for k in map(_key, step_full(ra, c, ranks[-1])[0])]
+                entry = orbits[loc, regs, code] = (
+                    succs.index(None) if None in succs else None, tuple(t for t in succs if t is not None))
+            stay, moved = entry
+            n = len(made)
+            for t in moved:
+                made.append((t[0], t[1], tuple([ext[r] for r in t[2]])))
+            if stay is None:
+                gone.append(key)
+            elif keep:
+                made.insert(n + stay, key)
+    return gone, made
+
+
+def _successors(ra: RegisterAutomaton, keys, letters) -> list:
+    """Every successor key of `keys` under any of `letters`, without repeats
+    and in discovery order (`_moves`).  Each letter is checked against the
+    atom domain here, once, whether or not a transition stores it."""
+    for a in letters:
+        check_atom(ra.sym, a)
+    out = _moves(ra, keys, letters, keep=True)[1]
     return list(dict.fromkeys(out)) if len(out) > 1 else out  # one key needs no hashing
 
 
@@ -360,23 +383,32 @@ def step(ra: RegisterAutomaton, c: ExtElem, input_atom: Atom) -> tuple:
     return ConfigAutomaton(ra).successor((c,), input_atom)
 
 
-def _inert(ra: RegisterAutomaton, loc, regs: tuple) -> bool:
+def _inert(ra: RegisterAutomaton, loc, regs: tuple) -> int:
     """Whether every letter that is none of a key's values at `(loc, regs)`
-    steps the key to itself alone, cached in `ra._inert`.  `_successors`
+    keeps the key as it is, and which of its values move it, cached in
+    `ra._inert`: `0` for an active key, else `1 << k` plus bit `i` when a
+    letter equal to register `i`'s value moves the key (code `i` under
+    `_among`, `2i+1` under `_between`), for k registers.  `_moves`
     answers it on the key with values `1, 3, …, 2k-1`, one letter per
-    position off them: `2k` under `_among`, and the gaps `0, 2, …, 2k`
-    under `_between`; `_ranked` has no such position, so its keys are never
-    inert.  A position whose step raises makes the key active, so that the
-    step raises where the letter is read."""
+    position: the letters `2k` (`_among`) or `0, 2, …, 2k` (`_between`)
+    off the values, and `2i+1` on register `i`'s value.  `_ranked` has no
+    position off the values, so its keys are never inert.  A position whose
+    step raises makes the key active when it is off the values and moving
+    when it is on one, so that the step raises where the letter is read."""
     got = ra._inert.get((loc, regs))
     if got is None:
         k = len(regs)
         key = (loc, regs, tuple(range(1, 2 * k, 2)))
-        letters = {_among: (2 * k,), _between: range(0, 2 * k + 1, 2)}.get(ra._locate, ())
-        try:
-            got = bool(letters) and all(_successors(ra, (key,), (a,)) == [key] for a in letters)
-        except Exception:
-            got = False
+
+        def moves(a) -> bool:
+            try:
+                gone, made = _moves(ra, (key,), (a,))
+            except Exception:
+                return True
+            return bool(gone or made)
+
+        off = {_among: (2 * k,), _between: range(0, 2 * k + 1, 2)}.get(ra._locate, ())
+        got = 0 if not off or any(map(moves, off)) else 1 << k | sum(moves(2 * i + 1) << i for i in range(k))
         ra._inert[loc, regs] = got
     return got
 
@@ -401,16 +433,23 @@ def run(ra: RegisterAutomaton, word: Iterable[Atom]) -> bool:
     `stays`.
 
     By the same argument a single key is moved only by a letter among its
-    own values when every other position keeps it as it is (`_inert`).
-    Such keys sit in `inert`, indexed by value in `holders`; the rest are
-    `active`.  A letter steps `active` and the inert keys that hold it, and
-    the other inert keys carry over untouched.  `stays`, `position` and
-    `holders` live for this call; the step and inert tables are the
-    automaton's, and `_inert` fills the latter only on a miss.  When a
-    letter raises, it is replayed on the whole frontier's configurations in
-    `_config_key` order, so the first of them to raise decides which error
-    the caller sees."""
-    active, inert, holders = [_key(initial_config(ra))], {}, {}
+    own values when every other position keeps it as it is (`_inert`), and
+    then only by a letter equal to the value of a register that moves it.
+    `frontier` maps each key to its `_inert` flag; the keys whose flag is
+    `0` are `active` and stepped on every letter.  The others are inert:
+    `holders` counts them per value, and `movers` indexes them by the
+    values that move them.  A letter steps `active` and the inert keys it
+    moves, and the frontier changes by what `_moves` reports: a key that
+    stays is left as it is, a key that goes leaves unless some key makes
+    it again, and only a made key that is new is classified and indexed.
+    The frontier stays when nothing left and nothing is new.  `stays`,
+    `position` and the indexes live for this call; the step and inert
+    tables are the automaton's, and `_inert` fills the latter only on a
+    miss.  When a letter raises, it is replayed on the whole frontier's
+    configurations in `_config_key` order, so the first of them to raise
+    decides which error the caller sees."""
+    start = _key(initial_config(ra))
+    frontier, active, holders, movers = {start: 0}, {start: None}, {}, {}
     # built when the frontier first stays: `floors` under `_between`, `position` under `_among`
     values, floors, position, stays = None, None, None, set()
     sym, locate, inert_flags = ra.sym, ra._locate, ra._inert
@@ -431,47 +470,61 @@ def run(ra: RegisterAutomaton, word: Iterable[Atom]) -> bool:
                 code = locate(values, a)[0]
             if code in stays:
                 continue
-        touched = list(holders.get(a, ()))
+        touched = movers.get(a)
         try:
-            succs = _successors(ra, active + touched, (a,))
+            gone, made = _moves(ra, [*active, *touched] if touched else active, (a,))
         except Exception:
-            for c in _configs(ra, [*active, *inert]):
+            for c in _configs(ra, frontier):
                 step_full(ra, c, a)
             raise
-        next_active, kept, changed = [], set(), False
-        for key in succs:
+        changed = False
+        if gone:
+            gone = dict.fromkeys(gone)
+        for key in made:
+            if key in frontier:
+                if gone:  # made again: it stays
+                    gone.pop(key, None)
+                continue
+            changed = True
             loc, regs, vals = key
             flag = inert_flags.get((loc, regs))
-            if not (_inert(ra, loc, regs) if flag is None else flag):
-                next_active.append(key)
-            elif key in inert:
-                kept.add(key)
-            else:
-                inert[key], changed = None, True
-                for v in vals:
-                    holders.setdefault(v, {})[key] = None
-        for key in touched:
-            if key not in kept:
-                del inert[key]
-                changed = True
-                for v in key[2]:
-                    held = holders[v]
-                    del held[key]
-                    if not held:  # so `holders` keys the inert keys' values
-                        del holders[v]
-        # both lists are without repeats: same length, then the same keys in any order
-        if not changed and len(next_active) == len(active) and (
-                next_active == active or set(next_active) == set(active)):
-            if values is None:  # distinct and increasing: `_between` needs it, the others accept it
-                values = tuple(sorted({*holders, *(v for _, _, vals in active for v in vals)}))
-                if locate is _between:
-                    floors = [n // d for n, d in (v.as_integer_ratio() for v in values)]
-                elif locate is _among:
-                    position, k = {v: i for i, v in enumerate(values)}, len(values)
-            stays.add(locate(values, a)[0])
-        else:
-            active, values, floors, position, stays = next_active, None, None, None, set()
-    return any(loc in ra.final for loc, _, _ in (*active, *inert))
+            if flag is None:
+                flag = _inert(ra, loc, regs)
+            frontier[key] = flag
+            if not flag:
+                active[key] = None
+                continue
+            for i, v in enumerate(vals):
+                holders[v] = holders.get(v, 0) + 1
+                if flag >> i & 1:
+                    movers.setdefault(v, {})[key] = None
+        for key in gone:
+            changed = True
+            flag = frontier.pop(key)
+            if not flag:
+                del active[key]
+                continue
+            for i, v in enumerate(key[2]):
+                if holders[v] == 1:  # so `holders` keys the inert keys' values
+                    del holders[v]
+                else:
+                    holders[v] -= 1
+                if flag >> i & 1:
+                    moved = movers[v]
+                    del moved[key]
+                    if not moved:
+                        del movers[v]
+        if changed:
+            values, floors, position, stays = None, None, None, set()
+            continue
+        if values is None:  # distinct and increasing: `_between` needs it, the others accept it
+            values = tuple(sorted({*holders, *(v for _, _, vals in active for v in vals)}))
+            if locate is _between:
+                floors = [n // d for n, d in (v.as_integer_ratio() for v in values)]
+            elif locate is _among:
+                position, k = {v: i for i, v in enumerate(values)}, len(values)
+        stays.add(locate(values, a)[0])
+    return any(loc in ra.final for loc, _, _ in frontier)
 
 
 # --- generalized determinization ---
@@ -649,6 +702,11 @@ def _ref_from_json(v, sym: SymmetryId):
     return Reg(atom_from_json(v["reg"], sym))
 
 
+def _literal_from_json(lit, sym: SymmetryId) -> Literal:
+    pol, rel, refs = json_array(lit, "guard literal")
+    return Literal(bool(pol), rel, tuple(_ref_from_json(r, sym) for r in json_array(refs, "guard arguments")))
+
+
 def automaton_to_json(ra: RegisterAutomaton) -> dict:
     return {
         "symmetry": ra.sym.value,
@@ -677,12 +735,7 @@ def automaton_from_json(d: dict) -> RegisterAutomaton:
     locations = suppset_from_json(d["locations"], sym)
     transitions = []
     for td in json_array(d["transitions"], "transitions"):
-        guard = Guard(
-            tuple(
-                Literal(bool(pol), rel, tuple(_ref_from_json(r, sym) for r in refs))
-                for pol, rel, refs in json_array(td.get("guard", []), "guard")
-            )
-        )
+        guard = Guard(tuple(_literal_from_json(lit, sym) for lit in json_array(td.get("guard", []), "guard")))
         assign = {
             atom_from_json(a, sym): _ref_from_json(r, sym)
             for a, r in td.get("assign", {}).items()

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -1069,9 +1070,9 @@ class TestLocateByFloor:
 class TestOneStepPerOrbit:
     """`run` calls `step_full` once per location, register domain and
     position of the input among the register values, however long the
-    word, and steps its frontier (`_successors`) only on a letter in a
-    position among the frontier's values that it has not stayed on: no
-    clock, a count."""
+    word, and steps its frontier (`_moves`) only on a letter in a position
+    among the frontier's values that it has not stayed on: no clock, a
+    count."""
 
     @staticmethod
     def count_steps(monkeypatch, ra, word, name="step_full"):
@@ -1112,17 +1113,17 @@ class TestOneStepPerOrbit:
     @pytest.mark.parametrize("accept", [True, False])
     def test_long_words_step_the_frontier_a_few_times(self, monkeypatch, accept):
         """One unspied run first fills the automaton's tables, so `_inert`'s
-        probes through `_successors` are cached and only `run`'s own
-        calls are counted."""
+        probes through `_moves` are cached and only `run`'s own calls are
+        counted."""
         rng = Random(7)
         for ra, make in ((first_repeat_automaton(), self.repeat_word), (ascent_automaton(), self.ascent_word)):
             counts = set()
             for n in (200, 2000, 20000):
                 word = make(rng, n, accept)
                 run(ra, word)
-                counts.add(self.count_steps(monkeypatch, ra, word, "_successors"))
+                counts.add(self.count_steps(monkeypatch, ra, word, "_moves"))
                 monkeypatch.undo()
-            assert len(counts) == 1 and counts.pop() <= 4
+            assert len(counts) == 1 and 1 <= counts.pop() <= 4
 
     def test_wide_frontier(self, monkeypatch):
         rng = Random(3)
@@ -1196,18 +1197,20 @@ class TestOrbitTable:
             ra.final = frozenset()
 
 
-def spy_successors(monkeypatch):
-    """Record `(keys, letters, result)` for every `_successors` call."""
+def spy_moves(monkeypatch):
+    """Record `(keys, letters, gone, made)` for every `_moves` call that
+    `run` makes; `_inert`'s probes and `_successors` go unrecorded."""
     calls = []
-    inner = automata_module._successors
+    inner = automata_module._moves
 
-    def spied(ra, keys, letters):
+    def spied(ra, keys, letters, keep=False):
         keys = list(keys)
-        got = inner(ra, keys, letters)
-        calls.append((keys, letters, got))
-        return got
+        gone, made = inner(ra, keys, letters, keep)
+        if sys._getframe(1).f_code is run.__code__:
+            calls.append((keys, letters, gone, made))
+        return gone, made
 
-    monkeypatch.setattr(automata_module, "_successors", spied)
+    monkeypatch.setattr(automata_module, "_moves", spied)
     return calls
 
 
@@ -1221,7 +1224,8 @@ def successor_states(ra, word) -> list:
 
 class TestInertKeys:
     """An inert key, which every letter outside its values keeps as it is,
-    is stepped only on a letter it holds; the others on every letter."""
+    is stepped only on a letter equal to a value that moves it; the others
+    on every letter."""
 
     @pytest.mark.parametrize("symmetry", ["equality", "total-order"])
     def test_wide_words_step_the_keys_that_hold_the_letter(self, monkeypatch, symmetry):
@@ -1235,14 +1239,13 @@ class TestInertKeys:
         words = [[rng.choice(atoms) for _ in range(100)] for _ in range(3)]
         for word in words:
             states = successor_states(ra, word)
-            run(ra, word)  # fills `_inert`'s cache, whose probes would be spied too
-            calls = spy_successors(monkeypatch)
+            calls = spy_moves(monkeypatch)
             accepted = run(ra, word)
             monkeypatch.undo()
-            assert accepted and any(c.base == "acc" for c in states[-1])
-            for keys, (a,), _ in calls:
+            assert calls and accepted and any(c.base == "acc" for c in states[-1])
+            for keys, (a,), _, _ in calls:
                 assert all(loc in ("s0", "s1") or a in vals for loc, _, vals in keys)
-            handed, frontiers = sum(len(keys) for keys, _, _ in calls), sum(map(len, states[:-1]))
+            handed, frontiers = sum(len(keys) for keys, _, _, _ in calls), sum(map(len, states[:-1]))
             assert frontiers > 10_000 and handed < frontiers / 4
 
     @staticmethod
@@ -1260,8 +1263,7 @@ class TestInertKeys:
     @pytest.mark.parametrize("symmetry", ["equality", "total-order"])
     def test_a_doubled_self_loop_is_inert(self, symmetry):
         """With `s2 → s2` listed twice, both of its templates keep an `s2`
-        key in place; `_successors` drops the repeat, so the key steps to
-        itself alone and is inert."""
+        key in place, so the key steps to itself alone and is inert."""
         ra = guess_store_automaton(symmetry)
         loop = next(t for t in ra.transitions if (t.source, t.target) == ("s2", "s2"))
         ra = RegisterAutomaton(ra.sym, ra.locations, ra.initial, ra.final, (*ra.transitions, loop))
@@ -1278,26 +1280,28 @@ class TestInertKeys:
         rng = Random(17)
         atoms = rng.sample(range(100), 8)
         words = [[rng.choice(atoms) for _ in range(30)] for _ in range(3)]
-        calls = spy_successors(monkeypatch)
+        calls = spy_moves(monkeypatch)
         TestOrbitMemoMatchesOracle.compare_runs(ra, [{"s2"}, {"s3"}, {"acc"}], words)
-        left = [k for keys, _, got in calls for k in keys if k[0] == "s2" and k not in got]
-        assert left
+        left = [k for keys, _, gone, made in calls for k in gone if k[0] == "s2" and k not in made]
+        assert calls and left
 
     def test_renaming_keys_are_never_inert(self, monkeypatch):
-        """Under renaming every call hands in the whole frontier: the result
-        of the last call that changed it."""
+        """Under renaming every call hands in the whole frontier: the last
+        call's keys, less those that went and were not made again, and the
+        keys it made."""
         ra = guess_store_automaton("renaming")
         rng = Random(19)
         atoms = rng.sample(range(100), 6)
         words = [[rng.choice(atoms) for _ in range(30)] for _ in range(4)]
         for word in words:
-            calls = spy_successors(monkeypatch)
+            calls = spy_moves(monkeypatch)
             assert run(ra, word) == oracle_run(ra, word)
             monkeypatch.undo()
+            assert calls
             frontier = {automata_module._key(initial_config(ra))}
-            for keys, _, got in calls:
+            for keys, _, gone, made in calls:
                 assert set(keys) == frontier
-                frontier = set(got)
+                frontier = frontier - set(gone) | set(made)
 
     @pytest.mark.parametrize("sym", [EQ, ORD])
     def test_error_with_inert_keys_live(self, sym):
@@ -1322,6 +1326,87 @@ class TestInertKeys:
         for word, want in (([4, 5, 5], (UnresolvedRegister, "3")), ([4, 5, 6], ("ok", True)),
                            ([4, 5, 6, 4], (UnresolvedRegister, "3"))):
             assert outcome(run, ra, word) == outcome(oracle_run, ra, word) == want
+
+
+class TestFrontierByChanges:
+    """`run` changes its frontier by what `_moves` reports: a key that a
+    letter keeps is left as it is, a key that goes leaves unless another key
+    makes it again, and an inert key is handed in only on a letter equal to
+    the value of a register that moves it.  Each against `oracle_run`."""
+
+    @staticmethod
+    def swap_automaton(sym):
+        """`q` moves to `r` on any letter but its register's value; `r` keeps
+        itself and makes `q` again.  Once both hold `x`, a letter other than
+        `x` steps `q(x)` away while `r(x)` makes it again."""
+        locs = SuppSet.of([("p", Support()), ("q", Support.of([0])), ("r", Support.of([0])), ("acc", Support())])
+        same, other = Guard((Literal(True, "eq", (INPUT, Reg(0))),)), Guard((Literal(False, "eq", (INPUT, Reg(0))),))
+        ts = (
+            make_transition("p", TRUE_GUARD, "q", {0: INPUT}),
+            make_transition("q", other, "r", {0: Reg(0)}),
+            make_transition("q", same, "acc", {}),
+            make_transition("r", TRUE_GUARD, "r", {0: Reg(0)}),
+            make_transition("r", TRUE_GUARD, "q", {0: Reg(0)}),
+            make_transition("acc", TRUE_GUARD, "acc", {}),
+        )
+        return RegisterAutomaton(sym, locs, "p", frozenset(["acc"]), ts)
+
+    @pytest.mark.parametrize("sym", [EQ, ORD])
+    def test_a_key_that_goes_and_is_made_again_stays(self, monkeypatch, sym):
+        """On `8` the frontier `{q(5), r(5)}` loses `q(5)` to its own step
+        and gets it back from `r(5)`: it stays, so `9` and `10` are skipped,
+        and the last `5` still steps `q(5)` to `acc`."""
+        ra = self.swap_automaton(sym)
+        assert validate(ra).ok
+        word = [5, 6, 7, 8, 9, 10, 5]
+        calls = spy_moves(monkeypatch)
+        assert run(ra, word) is oracle_run(ra, word) is True
+        q5 = ("q", (0,), (5,))
+        assert [a for _, (a,), _, _ in calls] == [5, 6, 7, 8, 5]
+        _, _, gone, made = calls[3]
+        assert gone == [q5] and q5 in made
+        assert q5 in calls[4][0]
+        monkeypatch.undo()
+        rng = Random(43)
+        words = [word] + [[rng.choice([1, 2, 3, 5, 8]) for _ in range(12)] for _ in range(20)]
+        TestOrbitMemoMatchesOracle.compare_runs(ra, [{q} for q in ra.locations.elements], words)
+
+    @pytest.mark.parametrize("symmetry", ["equality", "total-order"])
+    def test_a_second_register_does_not_hand_in_its_key(self, monkeypatch, symmetry):
+        """`s2` moves only on its first register's value, where it goes on
+        to `s3`.  On `1 3 2 3` the last `3` is stepped, for `s1(2)` makes
+        `s2(2, 3)`, while `s2(1, 3)`, which holds it second, is not handed
+        in."""
+        ra = guess_store_automaton(symmetry)
+        word = [1, 3, 2, 3]
+        calls = spy_moves(monkeypatch)
+        assert run(ra, word) is oracle_run(ra, word)
+        assert any(c.base == "s2" and c.pi.images.entries == ((0, 1), (1, 3))
+                   for c in successor_states(ra, word)[3])
+        assert calls[-1][1] == (3,) and ("s2", (0, 1), (1, 3)) not in calls[-1][0]
+        rng = Random(41)
+        atoms = rng.sample(range(1000), 12)
+        words = [word] + [[rng.choice(atoms) for _ in range(60)] for _ in range(3)]
+        for w in words:
+            del calls[:]
+            assert run(ra, w) is oracle_run(ra, w)
+            s2_handed = [(vals, a) for keys, (a,), _, _ in calls for loc, _, vals in keys if loc == "s2"]
+            assert calls and all(vals[0] == a for vals, a in s2_handed)
+        assert s2_handed
+
+    @pytest.mark.parametrize("symmetry", ["equality", "total-order"])
+    def test_inert_flags(self, symmetry):
+        """`1 << k` marks an inert key with k registers, so one with none
+        (`acc`) is truthy too; bit i marks a register whose value moves it."""
+        ra = guess_store_automaton(symmetry)
+        inert = automata_module._inert
+        assert inert(ra, "acc", ()) == 1
+        assert not inert(ra, "s0", ()) and not inert(ra, "s1", (0,))
+        assert inert(ra, "s2", (0, 1)) == 0b101 and inert(ra, "s3", (1,)) == 0b11
+        assert not inert(guess_store_automaton("renaming"), "acc", ())
+        rng = Random(47)
+        words = [[rng.choice(range(6)) for _ in range(rng.randint(0, 14))] for _ in range(30)]
+        TestOrbitMemoMatchesOracle.compare_runs(ra, [{q} for q in ra.locations.elements], words)
 
 
 # --- every word up to symmetry, against the oracle ---
@@ -1479,7 +1564,7 @@ class TestSkippedLettersMakeNoCall:
     that `ra._locate` is one of them, count a few calls per step of the
     frontier, not one per letter.  No clock."""
 
-    SPIED = ("check_atom", "_among", "_between", "_ranked", "_successors")
+    SPIED = ("check_atom", "_among", "_between", "_ranked", "_moves")
 
     @pytest.mark.parametrize("accept", [True, False])
     @pytest.mark.parametrize("make_ra, make", [(first_repeat_automaton, TestOneStepPerOrbit.repeat_word),
@@ -1489,6 +1574,8 @@ class TestSkippedLettersMakeNoCall:
         for name in self.SPIED:
             def spied(*args, _inner=getattr(automata_module, name), _name=name):
                 calls[_name] += 1
+                if _name == "_moves" and sys._getframe(1).f_code is run.__code__:
+                    calls["run"] += 1
                 return _inner(*args)
 
             monkeypatch.setattr(automata_module, name, spied)
@@ -1496,6 +1583,6 @@ class TestSkippedLettersMakeNoCall:
         assert ra._locate in (automata_module._among, automata_module._between)
         word = make(Random(37), 2000, accept)
         assert run(ra, word) is accept
-        steps = calls.pop("_successors")  # `run`'s steps and `_inert`'s probes
-        assert 0 < steps <= 8
+        steps = calls.pop("_moves")  # `run`'s steps and `_inert`'s probes
+        assert 0 < calls.pop("run") <= steps <= 8
         assert all(n <= 3 * steps for n in calls.values()), calls

@@ -208,7 +208,7 @@ class TestMalformedShapes:
     @staticmethod
     def assert_shape_error(capsys, fmt, argv, message):
         code, out, err = run_cli(capsys, "--format", fmt, *argv)
-        assert code == 2
+        assert code == 2 and "Traceback" not in out + err, argv
         assert json.loads(out)["errors"] == [message] if fmt == "json" else err == f"error: {message}"
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -247,10 +247,17 @@ class TestMalformedShapes:
         for path in arrays:
             for empty in ("", {}):
                 bad.write_text(json.dumps(_replaced(doc, path, empty)))
-                code, out, err = run_cli(capsys, "--format", fmt, *command, str(bad), *options)
-                assert code == 2, (path, empty)
-                assert "Traceback" not in out + err
-                assert json.loads(out)["errors"] if fmt == "json" else out or err  # a validation report is on stdout
+                self.assert_shape_error(capsys, fmt, [*command, str(bad), *options],
+                                        f"{bad}: wrong JSON shape: {self.array_name(path)} must be a JSON array, "
+                                        f"not {type(empty).__name__}")
+
+    @staticmethod
+    def array_name(path) -> str:
+        """What a shape error calls the array at `path`: its key, or for an
+        array inside an array, what the outer one holds."""
+        if isinstance(path[-1], str):
+            return path[-1]
+        return {"guard": "guard literal", "equations": "equation"}.get(path[-2], "guard arguments")
 
     def test_key_and_value_errors_keep_their_messages(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
