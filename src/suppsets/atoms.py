@@ -182,18 +182,21 @@ def order_type(values: list) -> tuple:
 
 # --- piecewise-linear machinery (total-order symmetry) ---
 
+_FIRST = operator.itemgetter(0)
+
+
 def _pwl_apply(entries: tuple, x: Atom) -> Atom:
-    """Evaluate a breakpoint list at x; slope-one tails outside the hull."""
+    """Evaluate a breakpoint list at x; slope-one tails outside the hull.
+    `entries` is bisected by its first coordinates, with no list built."""
     if not entries:
         return x
-    xs = [p for p, _ in entries]
-    i = bisect_left(xs, x)
-    if i < len(xs) and xs[i] == x:
+    i = bisect_left(entries, x, key=_FIRST)
+    if i < len(entries) and entries[i][0] == x:
         return entries[i][1]
     if i == 0:
         x0, y0 = entries[0]
         return y0 + (x - x0)
-    if i == len(xs):
+    if i == len(entries):
         xn, yn = entries[-1]
         return yn + (x - xn)
     (xa, ya), (xb, yb) = entries[i - 1], entries[i]

@@ -52,6 +52,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable
 
 from .atoms import (
@@ -308,7 +309,7 @@ def _ranked(vals: tuple, a) -> tuple:
     """Any symmetry: the order type of the values and `a`, which is all a
     guard can observe, valuations that repeat a value included."""
     ranks, at_rank = order_type([*vals, a])
-    return tuple(ranks), at_rank
+    return tuple(ranks), tuple(at_rank)
 
 
 def _locator(ra: RegisterAutomaton):
@@ -324,6 +325,28 @@ def _locator(ra: RegisterAutomaton):
     return _ranked
 
 
+def _renamer(ranks: tuple) -> itemgetter:
+    """The values at `ranks` of a renaming target (a tuple), as a tuple:
+    `itemgetter` of two or more indexes gives one, and a slice keeps one
+    or no index a tuple too."""
+    if len(ranks) > 1:
+        return itemgetter(*ranks)
+    return itemgetter(slice(ranks[0], ranks[0] + 1) if ranks else slice(0))
+
+
+def _template(ra: RegisterAutomaton, loc, regs: tuple, vals: tuple, a, ext: tuple, code) -> tuple:
+    """The entry `_moves` stores in `ra._orbits` for the position `code` of
+    `a` among `vals` at `(loc, regs)`, `ext` being the renaming target."""
+    ranks = [ext.index(v) for v in (*vals, a)]
+    c = ExtElem(RestrictedMap(ra.sym, FiniteMap(tuple(zip(regs, ranks)))), loc)
+    same = _key(c)
+    succs = [None if k == same else k for k in map(_key, step_full(ra, c, ranks[-1])[0])]
+    entry = ra._orbits[loc, regs, code] = (
+        succs.index(None) if None in succs else None,
+        tuple((t, r, _renamer(v)) for t, r, v in filter(None, succs)))
+    return entry
+
+
 def _moves(ra: RegisterAutomaton, keys, letters, keep: bool = False) -> tuple:
     """How `letters` step `keys`: `(gone, made)`, the keys that a letter
     steps without keeping them as they are, and every successor that is not
@@ -335,33 +358,40 @@ def _moves(ra: RegisterAutomaton, keys, letters, keep: bool = False) -> tuple:
     admissibility, and it only copies atoms.  A strictly monotone map keeps
     all of these, and without `lt` under equality an injective one does.
     So its successors are fixed by the location, the registers and the
-    input's position among their values (`ra._locate`).  On the first
-    hit of a position in the automaton's life, `step_full` runs on the
-    ranks of the values and the input in the renaming target (naturals, so
-    atoms of every domain), and `ra._orbits` keeps `(stay, moved)`: the
-    successors other than the key itself as `(target, registers, value
-    ranks)` templates, and the index among them where the step lists the
-    key itself, or `None` when it does not.  Every hit renames the
-    templates back to the atoms; a key that stays costs no tuple.  A
-    position whose step raises is not stored."""
+    input's position among their values (`ra._locate`; `_among` is inlined
+    here).  On the first hit of a position in the automaton's life,
+    `_template` runs `step_full` on the ranks of the values and the input
+    in the renaming target (naturals, so atoms of every domain), and
+    `ra._orbits` keeps `(stay, moved)`: the successors other than the key
+    itself as `(target, registers, renamer)` templates, and the index among
+    them where the step lists the key itself, or `None` when it does not.
+    A renamer is an `itemgetter` of the successor's value ranks
+    (`_renamer`), so a hit renames each template back to the atoms with no
+    call of the package and no list; a key that stays costs no tuple.
+    Under `_among` the keys that a new letter steps share their position,
+    so consecutive ones with the same location and registers share one
+    table lookup.  A position whose step raises is not stored."""
     locate, orbits = ra._locate, ra._orbits
+    among = locate is _among
     gone, made = [], []
+    new_loc, new_regs = None, None  # of the last key a new letter stepped, under `_among`
     for key in keys:
         loc, regs, vals = key
         for a in letters:
-            code, ext = locate(vals, a)
-            entry = orbits.get((loc, regs, code))
-            if entry is None:
-                ranks = [ext.index(v) for v in (*vals, a)]
-                c = ExtElem(RestrictedMap(ra.sym, FiniteMap(tuple(zip(regs, ranks)))), loc)
-                same = _key(c)
-                succs = [None if k == same else k for k in map(_key, step_full(ra, c, ranks[-1])[0])]
-                entry = orbits[loc, regs, code] = (
-                    succs.index(None) if None in succs else None, tuple(t for t in succs if t is not None))
+            if among and a not in vals:
+                ext = (*vals, a)
+                if regs is not new_regs or loc is not new_loc:
+                    new_loc, new_regs = loc, regs
+                    k = len(vals)
+                    new_entry = orbits.get((loc, regs, k)) or _template(ra, loc, regs, vals, a, ext, k)
+                entry = new_entry
+            else:
+                code, ext = (vals.index(a), vals) if among else locate(vals, a)
+                entry = orbits.get((loc, regs, code)) or _template(ra, loc, regs, vals, a, ext, code)
             stay, moved = entry
             n = len(made)
-            for t in moved:
-                made.append((t[0], t[1], tuple([ext[r] for r in t[2]])))
+            for target, tregs, rename in moved:
+                made.append((target, tregs, rename(ext)))
             if stay is None:
                 gone.append(key)
             elif keep:
@@ -413,6 +443,62 @@ def _inert(ra: RegisterAutomaton, loc, regs: tuple) -> int:
     return got
 
 
+_END = object()  # `_skip`'s answer when the word runs out
+
+
+def _skip(letters, sym: SymmetryId, locate, values: tuple, stays: set):
+    """The first of `letters` that `run` does not skip on a frontier with
+    values `values` that stays on the positions `stays`, or `_END`.
+    `check_atom` runs only on a letter that is not a plain natural (under
+    total order, a plain `int` or `Fraction`).  Under `_among`, when new
+    letters stay, `hits` holds the values whose position does not, else
+    `skips` those whose position does.  Under `_between` a letter's
+    integer floor is bisected into the values' floors: a floor no value
+    shares puts it in the gap before the first value of a higher floor,
+    and only a shared floor calls `locate`."""
+    if locate is _among:
+        k = len(values)
+        if k in stays:
+            hits = {v for i, v in enumerate(values) if i not in stays}
+            for a in letters:
+                if type(a) is not int or a < 0:
+                    check_atom(sym, a)
+                if a in hits:
+                    return a
+        else:
+            skips = {values[i] for i in stays}
+            for a in letters:
+                if type(a) is not int or a < 0:
+                    check_atom(sym, a)
+                if a not in skips:
+                    return a
+    elif locate is _between:
+        floors = [n // d for n, d in (v.as_integer_ratio() for v in values)]
+        k = len(floors)
+        gaps = [2 * p in stays for p in range(k + 1)]
+        for a in letters:
+            if type(a) is int:
+                f = a
+            else:
+                if type(a) is not Fraction:
+                    check_atom(sym, a)
+                n, d = a.as_integer_ratio()
+                f = n // d
+            p = bisect_left(floors, f)
+            if p == k or floors[p] != f:
+                if not gaps[p]:
+                    return a
+            elif locate(values, a)[0] not in stays:
+                return a
+    else:
+        for a in letters:
+            if type(a) is not int or a < 0:
+                check_atom(sym, a)
+            if locate(values, a)[0] not in stays:
+                return a
+    return _END
+
+
 def run(ra: RegisterAutomaton, word: Iterable[Atom]) -> bool:
     """Breadth-first subset tracking; accept when a final location is live.
 
@@ -421,16 +507,14 @@ def run(ra: RegisterAutomaton, word: Iterable[Atom]) -> bool:
     each configuration's values, so letters in one position are related by
     a map that fixes `values` and so the frontier, and step it alike.  When
     a step leaves the frontier as it was, `stays` records the position, and
-    every later letter there costs its domain check, locating it and one
-    set lookup, with no step: `check_atom` runs only on a letter that is
-    not a plain natural (or, under total order, a plain `Fraction`).
-    Under `_among`, `position` maps each of `values` to its code, and a new
-    letter has code `k`.  Under `_between`, `floors`, the integer floors of
-    `values`, locates it: a letter whose floor no value shares is in the
-    gap before the first value of a higher floor, and only one whose floor
-    some value shares calls `_between`.  `_ranked` calls `ra._locate`.  A
-    frontier that changes starts new `values`, `floors`, `position` and
-    `stays`.
+    `_skip` reads the following letters from the same iterator in one tight
+    loop specialised to the locator, with no step: under `_among` a plain
+    natural costs a type test, a sign test and one set lookup, and under
+    `_between` a plain `int` or `Fraction` calls the package only when a
+    value shares its integer floor.  The first letter it does not skip
+    takes the full path, where it is checked and stepped; a letter outside
+    the atom domain raises `check_atom`'s error wherever it is read.  A
+    frontier that changes starts new `values` and `stays`.
 
     By the same argument a single key is moved only by a letter among its
     own values when every other position keeps it as it is (`_inert`), and
@@ -442,34 +526,23 @@ def run(ra: RegisterAutomaton, word: Iterable[Atom]) -> bool:
     moves, and the frontier changes by what `_moves` reports: a key that
     stays is left as it is, a key that goes leaves unless some key makes
     it again, and only a made key that is new is classified and indexed.
-    The frontier stays when nothing left and nothing is new.  `stays`,
-    `position` and the indexes live for this call; the step and inert
-    tables are the automaton's, and `_inert` fills the latter only on a
-    miss.  When a letter raises, it is replayed on the whole frontier's
-    configurations in `_config_key` order, so the first of them to raise
-    decides which error the caller sees."""
+    The frontier stays when nothing left and nothing is new.  `stays` and
+    the indexes live for this call; the step and inert tables are the
+    automaton's, and `_inert` fills the latter only on a miss.  When a
+    letter raises, it is replayed on the whole frontier's configurations in
+    `_config_key` order, so the first of them to raise decides which error
+    the caller sees."""
     start = _key(initial_config(ra))
     frontier, active, holders, movers = {start: 0}, {start: None}, {}, {}
-    # built when the frontier first stays: `floors` under `_between`, `position` under `_among`
-    values, floors, position, stays = None, None, None, set()
+    values, stays = None, set()  # `values` is built when the frontier first stays
     sym, locate, inert_flags = ra.sym, ra._locate, ra._inert
     rational = sym is SymmetryId.TOTAL_ORDER
-    for a in word:
+    letters = iter(word)
+    a = next(letters, _END)
+    while a is not _END:
         t = type(a)
         if not (t is int and a >= 0 or t is Fraction and rational):
             check_atom(sym, a)
-        if stays:
-            if position is not None:
-                code = position.get(a, k)
-            elif floors is not None:  # `_between` by floors, unless a value shares `a`'s floor
-                n, d = a.as_integer_ratio()
-                f = n // d
-                p = bisect_left(floors, f)
-                code = 2 * p if p == len(floors) or floors[p] != f else locate(values, a)[0]
-            else:
-                code = locate(values, a)[0]
-            if code in stays:
-                continue
         touched = movers.get(a)
         try:
             gone, made = _moves(ra, [*active, *touched] if touched else active, (a,))
@@ -515,15 +588,13 @@ def run(ra: RegisterAutomaton, word: Iterable[Atom]) -> bool:
                     if not moved:
                         del movers[v]
         if changed:
-            values, floors, position, stays = None, None, None, set()
+            values, stays = None, set()
+            a = next(letters, _END)
             continue
         if values is None:  # distinct and increasing: `_between` needs it, the others accept it
             values = tuple(sorted({*holders, *(v for _, _, vals in active for v in vals)}))
-            if locate is _between:
-                floors = [n // d for n, d in (v.as_integer_ratio() for v in values)]
-            elif locate is _among:
-                position, k = {v: i for i, v in enumerate(values)}, len(values)
         stays.add(locate(values, a)[0])
+        a = _skip(letters, sym, locate, values, stays)
     return any(loc in ra.final for loc, _, _ in frontier)
 
 
@@ -703,7 +774,7 @@ def _ref_from_json(v, sym: SymmetryId):
 
 
 def _literal_from_json(lit, sym: SymmetryId) -> Literal:
-    pol, rel, refs = json_array(lit, "guard literal")
+    pol, rel, refs = json_array(lit, "guard literal", 3)
     return Literal(bool(pol), rel, tuple(_ref_from_json(r, sym) for r in json_array(refs, "guard arguments")))
 
 

@@ -372,6 +372,6 @@ def presentation_from_json(d: dict) -> FinPresentation:
     gens = suppset_from_json(d["generators"], sym)
     eqs = tuple(
         (ext_elem_from_json(lhs, sym), ext_elem_from_json(rhs, sym))
-        for lhs, rhs in (json_array(eq, "equation") for eq in json_array(d.get("equations", []), "equations"))
+        for lhs, rhs in (json_array(eq, "equation", 2) for eq in json_array(d.get("equations", []), "equations"))
     )
     return FinPresentation(sym, gens, eqs)

@@ -331,11 +331,15 @@ def suppset_to_json(X: SuppSet) -> dict:
     }
 
 
-def json_array(v, where: str) -> list:
-    """`v`, which must be a JSON array: a string or an object would be
-    iterated by its characters or keys without complaint."""
+def json_array(v, where: str, length: int | None = None) -> list:
+    """`v`, which must be a JSON array, of `length` entries when given: a
+    string or an object would be iterated by its characters or keys without
+    complaint, and an array of the wrong length unpacked with Python's
+    message."""
     if not isinstance(v, list):
         raise TypeError(f"{where} must be a JSON array, not {type(v).__name__}")
+    if length is not None and len(v) != length:
+        raise TypeError(f"{where} must be a JSON array of {length} entries, not {len(v)}")
     return v
 
 

@@ -1,3 +1,5 @@
+from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -61,6 +63,55 @@ class TestApply:
         would map `True` to 2: the atom check must come first."""
         with pytest.raises(ValueError, match=r"^True is not an exact atom$"):
             apply(finite_perm(EQ, {1: 2, 2: 1}), True)
+
+
+def pwl_apply_by_list(entries: tuple, x):
+    """The former `_pwl_apply`, as an oracle: it bisects a list of the
+    breakpoints' first coordinates, built on every call."""
+    if not entries:
+        return x
+    xs = [p for p, _ in entries]
+    i = bisect_left(xs, x)
+    if i < len(xs) and xs[i] == x:
+        return entries[i][1]
+    if i == 0:
+        x0, y0 = entries[0]
+        return y0 + (x - x0)
+    if i == len(xs):
+        xn, yn = entries[-1]
+        return yn + (x - xn)
+    (xa, ya), (xb, yb) = entries[i - 1], entries[i]
+    return ya + Fraction(yb - ya) * (x - xa) / (xb - xa)
+
+
+class TestPwlApply:
+    def test_matches_the_breakpoint_list_formula(self):
+        """A seeded deck of canonical breakpoint lists, each evaluated on its
+        breakpoints, between and just beside them, and in both tails: the
+        same value of the same type as the list-building formula."""
+        rng = Random(41)
+        checked = Counter()
+        for _ in range(300):
+            x, y, pts = Fraction(rng.randint(-20, 20), rng.randint(1, 4)), rng.randint(-20, 20), []
+            for _ in range(rng.randint(0, 6)):
+                pts.append((x, y))
+                x += Fraction(rng.randint(1, 12), rng.choice((1, 2, 3)))
+                y += rng.choice((1, 2, Fraction(1, 2), Fraction(7, 3)))
+            entries = _pwl_canonical(pts)
+            xs = [p for p, _ in entries]
+            eps = Fraction(1, rng.randint(2, 50))
+            probes = [*xs, *(int(p) for p in xs if p.denominator == 1),
+                      *(p + d for p in xs for d in (-eps, eps)),
+                      *((a + b) / 2 for a, b in zip(xs, xs[1:])),
+                      *(xs[:1] and (xs[0] - 1, xs[0] - rng.randint(2, 99), -10 ** 6)),
+                      *(xs[-1:] and (xs[-1] + 1, xs[-1] + rng.randint(2, 99), 10 ** 6)),
+                      *(Fraction(rng.randint(-400, 400), rng.randint(1, 9)) for _ in range(5))]
+            for p in probes:
+                got, want = _pwl_apply(entries, p), pwl_apply_by_list(entries, p)
+                assert (type(got), got) == (type(want), want), (entries, p)
+                checked["on" if p in xs else "below" if xs and p < xs[0] else "above" if xs and p > xs[-1]
+                        else "between" if xs else "identity"] += 1
+        assert min(checked[k] for k in ("on", "below", "above", "between", "identity")) >= 20, checked
 
 
 def pwl_canonical_restart(points) -> tuple:

@@ -1451,6 +1451,12 @@ def shipped_automaton(name, sym):
     return automaton_from_json({**spec, "symmetry": sym.value})
 
 
+def ascent_under_equality():
+    """`ascent_after_first` compares with `lt`, so under equality `run`
+    locates letters by the `_ranked` fallback."""
+    return shipped_automaton("ascent_after_first", EQ)
+
+
 def second_again_automaton(sym):
     """Stores the first two letters and accepts once the second comes again;
     under total order only a second letter above the first can be stored.
@@ -1524,11 +1530,14 @@ class TestOutOfDomainOnTheSkipPath:
     that check fails, so a bad letter raises `check_atom`'s exception, with
     its message, before the frontier stays and after."""
 
-    # before any letter, before the frontier stays, on the letter that stays it, and two letters after
-    PREFIXES = ([], [5], [5, 3], [5, 3, 2, 1])
+    # before any letter, before the frontier stays, on the letter that stays it, two letters after, and
+    # after a thousand: distinct and descending, so below the first letter under total order, and in
+    # one gap of the order type under `_ranked`
+    PREFIXES = ([], [5], [5, 3], [5, 3, 2, 1], [1002, *range(1001, 0, -1)])
 
     @pytest.mark.parametrize("make, letter", [(first_repeat_automaton, a) for a in (True, -1, 1.5, Fraction(1, 2), "a")]
-                             + [(ascent_automaton, a) for a in (True, 1.5)])
+                             + [(ascent_automaton, a) for a in (True, 1.5)]
+                             + [(ascent_under_equality, a) for a in (True, -1, 1.5, Fraction(1, 2), "a")])
     def test_raises_as_check_atom(self, make, letter):
         ra = make()
         want = outcome(check_atom, ra.sym, letter)
@@ -1556,6 +1565,119 @@ class TestOutOfDomainOnTheSkipPath:
         for n in range(5):
             for word in itertools.product(pool, repeat=n):
                 assert live_by_run(ra, word, variants) == oracle_live(ra, word), word
+
+    @staticmethod
+    def repeat_stay_automaton():
+        """Equality: stores the first letter and stays while it repeats; any
+        other letter moves to `gone`, which has no registers.  The frontier
+        stays on the stored value and not on a new letter."""
+        r0 = {"reg": 0}
+        return automaton_from_json({
+            "symmetry": "equality",
+            "locations": {"elements": [{"id": "q0", "support": []}, {"id": "q1", "support": [0]},
+                                       {"id": "gone", "support": []}]},
+            "initial": "q0",
+            "final": ["q1"],
+            "transitions": [
+                {"from": "q0", "to": "q1", "assign": {"0": "input"}},
+                {"from": "q1", "to": "q1", "assign": {"0": r0}, "guard": [[True, "eq", ["input", r0]]]},
+                {"from": "q1", "to": "gone", "assign": {}, "guard": [[False, "eq", ["input", r0]]]},
+                {"from": "gone", "to": "gone", "assign": {}},
+            ],
+        })
+
+    @pytest.mark.parametrize("make, word", [
+        (first_repeat_automaton, [1, *range(2, 1003)]),  # new letters stay: 1 is the value that does not
+        (repeat_stay_automaton, [1] * 1002),  # only 1 stays
+        (ascent_under_equality, [1, *[0] * 1001]),
+        (ascent_automaton, [1, *range(-1, -1002, -1)]),
+    ], ids=["among new", "among value", "ranked", "between"])
+    def test_true_while_one_is_a_value(self, make, word):
+        """`True == 1` and both hash alike, so a set of values would take
+        `True` for the value `1`: the type test must come first."""
+        ra = make()
+        assert run(ra, word) == oracle_run(ra, word)
+        for tail in ([True], [True, 1], [True, 2]):
+            assert outcome(run, ra, [*word, *tail]) == (ValueError, "True is not an exact atom")
+
+    @pytest.mark.parametrize("accept", [False, True])
+    @pytest.mark.parametrize("make, prefix, accepting", [
+        (ascent_automaton, [1000], 1001), (lambda: second_again_automaton(ORD), [-100, 2000], 2000)],
+        ids=["ascent", "second_again"])
+    def test_total_order_letters_of_every_type_in_a_skipped_run(self, make, prefix, accepting, accept):
+        """A negative `int`, an `int` subclass and a `Fraction` subclass among
+        letters that the frontier stays on: all in (-99, 999), below the
+        ascent's first letter and between `second_again`'s two."""
+        class Nat(int):
+            pass
+
+        class Frac(Fraction):
+            pass
+
+        ra = make()
+        rng = Random(43)
+        for odd in (-7, Nat(3), Frac(5, 2), Nat(0), Frac(-13, 4)):
+            for _ in range(3):
+                word = [*prefix, *(Fraction(rng.randrange(-99 * 7, 999 * 7), 7) for _ in range(300))]
+                word[rng.randrange(len(prefix) + 1, len(word))] = odd
+                if accept:
+                    word[rng.randrange(len(word) // 2, len(word))] = accepting
+                assert run(ra, word) is accept is oracle_run(ra, word), (odd, word)
+                assert live_by_run(ra, word) == oracle_live(ra, word)
+
+
+class TestStepPath:
+    """`_moves` locates a letter under `_among` inline and renames each
+    stored template with its `itemgetter`: spies and the step table's keys,
+    no clock."""
+
+    def test_moves_makes_no_among_call(self, monkeypatch):
+        """On the guess-and-store 100-letter words under equality.  The spy
+        is set before the automaton is built, so that `ra._locate` is it."""
+        callers = Counter()
+        inner = automata_module._among
+
+        def spied(vals, a):
+            callers[sys._getframe(1).f_code.co_name] += 1
+            return inner(vals, a)
+
+        monkeypatch.setattr(automata_module, "_among", spied)
+        ra = guess_store_automaton()
+        assert ra._locate is spied
+        steps = spy_moves(monkeypatch)
+        rng = Random(3)
+        atoms = rng.sample(range(1000), 20)
+        for _ in range(4):
+            word = [rng.choice(atoms) for _ in range(100)]
+            assert run(ra, word) == oracle_run(ra, word)
+        assert sum(len(keys) for keys, *_ in steps) > 100
+        assert callers["_moves"] == 0 and callers["run"] > 0, callers
+
+    # Every position of every location and register domain under `_among`
+    # (k+1) and `_between` (2k+1), and the order types that occur under
+    # `_ranked`: the inline locate and the shared lookup add and lose none.
+    ORBIT_KEYS = {
+        ("guess_store", EQ): {("acc", (), 0), ("s0", (), 0), ("s1", (0,), 0), ("s1", (0,), 1), ("s2", (0, 1), 0),
+                              ("s2", (0, 1), 1), ("s2", (0, 1), 2), ("s3", (1,), 0), ("s3", (1,), 1)},
+        ("guess_store", ORD): {("acc", (), 0), ("s0", (), 0), ("s1", (0,), 0), ("s1", (0,), 1), ("s1", (0,), 2),
+                               ("s2", (0, 1), 0), ("s2", (0, 1), 1), ("s2", (0, 1), 2), ("s2", (0, 1), 3),
+                               ("s2", (0, 1), 4), ("s3", (1,), 0), ("s3", (1,), 1), ("s3", (1,), 2)},
+        ("ascent_after_first", EQ): {("q0", (), (0,)), ("q1", (0,), (0, 1)), ("q1", (0,), (1, 0)), ("qa", (), (0,))},
+        ("ascent_after_first", ORD): {("q0", (), 0), ("q1", (0,), 0), ("q1", (0,), 2), ("qa", (), 0)},
+        ("first_repeat", EQ): {("q0", (), 0), ("q1", (0,), 0), ("q1", (0,), 1), ("qa", (), 0)},
+        ("first_repeat", ORD): {("q0", (), 0), ("q1", (0,), 0), ("q1", (0,), 1), ("q1", (0,), 2), ("qa", (), 0)},
+    }
+
+    @pytest.mark.parametrize("name, sym", ORBIT_KEYS, ids=lambda v: getattr(v, "value", v))
+    def test_the_step_table_keys_at_seed_1(self, name, sym):
+        """Words of 40-100 letters over 20 atoms drawn at seed 1."""
+        ra = guess_store_automaton(sym.value) if name == "guess_store" else shipped_automaton(name, sym)
+        rng = Random(1)
+        atoms = rng.sample(range(1000), 20)
+        for n in (40, 60, 80, 100):
+            word = [rng.choice(atoms) for _ in range(n)]
+            assert run(ra, word) == oracle_run(ra, word)
+        assert set(ra._orbits) == self.ORBIT_KEYS[name, sym]
 
 
 class TestSkippedLettersMakeNoCall:

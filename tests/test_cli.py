@@ -251,6 +251,24 @@ class TestMalformedShapes:
                                         f"{bad}: wrong JSON shape: {self.array_name(path)} must be a JSON array, "
                                         f"not {type(empty).__name__}")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("source, path, command, options, name, length", [
+        (FIRST_REPEAT, ("transitions", 1, "guard", 0), ("validate",), (), "guard literal", 3),
+        (PAIRS, ("equations", 0), ("quot", "count"), ("--pool", "3"), "equation", 2)],
+        ids=["guard literal", "equation"])
+    def test_fixed_length_arrays(self, capsys, tmp_path, fmt, source, path, command, options, name, length):
+        """A guard literal or an equation with too few or too many entries is
+        a shape error, not Python's unpacking message."""
+        doc = json.loads(Path(source).read_text())
+        entries = reduce(operator.getitem, path, doc)
+        assert len(entries) == length
+        bad = tmp_path / "bad.json"
+        for n in {0, 1, length - 1, length + 1} - {length}:
+            bad.write_text(json.dumps(_replaced(doc, path, (entries * 2)[:n])))
+            self.assert_shape_error(capsys, fmt, [*command, str(bad), *options],
+                                    f"{bad}: wrong JSON shape: {name} must be a JSON array of {length} entries, "
+                                    f"not {n}")
+
     @staticmethod
     def array_name(path) -> str:
         """What a shape error calls the array at `path`: its key, or for an
