@@ -283,9 +283,15 @@ def compose(g: GlobalMap, h: GlobalMap) -> GlobalMap:
     if g.sym is not h.sym:
         raise ValueError(f"mixed symmetries: {g.sym.value} and {h.sym.value}")
     if g.sym.rational_atoms:
+        # The breakpoints are h's and the preimages under h of g's; h takes a
+        # preimage to g's breakpoint, so each point takes one evaluation.  A
+        # stable sort merges the two runs, and of two equal points h's is
+        # kept.  Both come from the maps' entries, which are atoms, so no
+        # point is checked.
         h_inv = tuple(sorted((y, x) for x, y in h.entries))
-        xs = {x for x, _ in h.entries} | {_pwl_apply(h_inv, x) for x, _ in g.entries}
-        pts = [(x, apply(g, apply(h, x))) for x in sorted(xs)]
+        pts = sorted([*((x, _pwl_apply(g.entries, y)) for x, y in h.entries),
+                      *((_pwl_apply(h_inv, x), y) for x, y in g.entries)])
+        pts = [p for i, p in enumerate(pts) if i == 0 or pts[i - 1][0] != p[0]]
         return GlobalMap(g.sym, _pwl_canonical(pts))
     carrier = {a for a, _ in g.entries} | {a for a, _ in h.entries}
     ent = _moved_points({a: apply(g, apply(h, a)) for a in carrier})

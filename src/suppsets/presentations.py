@@ -5,11 +5,13 @@ equations between extension elements over them.  The presented congruence
 is the least equivariant equivalence containing the equations.  Under a
 group symmetry it is a finite set of pair orbits, which each presentation
 saturates from its equation orbits under swap and composition once, so
-`quot_eq` and `supp_of` are exact: one lookup per pair, or per support
-atom.  Element counts and every renaming query are decided over a bounded
-atom pool: every equation is instantiated along every admissible
-reassignment of its atoms into the pool, and the resulting pairs are
-closed into an equivalence over the pool-bounded extension.  The
+`quot_eq` is exact: one lookup per pair.  Supports are equivariant, so
+`supp_of` is exact too: each generator's least support is found once, by
+one lookup per support atom, and an element's is its image along the
+element's reassignment.  Element counts and every renaming query are
+decided over a bounded atom pool: every equation is instantiated along
+every admissible reassignment of its atoms into the pool, and the
+resulting pairs are closed into an equivalence over the pool-bounded extension.  The
 union-find closure runs on pool positions: an element is an index found
 from its base and the positions of its atoms in the pool, and an
 instance is a tuple of positions, so no map or element is built per
@@ -42,6 +44,7 @@ from .freenom import (
     ext_elem_to_json,
     ext_enumerate,
     ext_support,
+    unit,
 )
 from .supported import SuppSet, UnionFind, json_array, suppset_from_json, suppset_to_json
 
@@ -65,6 +68,12 @@ class FinPresentation:
         """The congruence's pair orbits off the diagonal (group symmetries
         only), saturated on first use and kept."""
         return _saturate(self)
+
+    @cached_property
+    def _least_supports(self) -> dict:
+        """Generator -> the least support of its unit's class, filled per
+        generator on its first `supp_of`."""
+        return {}
 
 
 @dataclass(eq=False)
@@ -93,6 +102,11 @@ class AtomPool:
 
     def __len__(self) -> int:
         return len(self.atoms)
+
+    @cached_property
+    def _atom_set(self) -> frozenset:
+        """The atoms as a set, built on the first pool check and kept."""
+        return frozenset(self.atoms)
 
 
 class PoolError(ValueError):
@@ -161,9 +175,10 @@ def quot_classes(P: FinPresentation, pool: AtomPool):
 
 
 def _require_in_pool(P: FinPresentation, pool: AtomPool, *elems: ExtElem):
+    atoms = pool._atom_set
     for e in elems:
         check_ext_elem(P.generators, e)
-        if not ext_support(e).issubset(pool.atoms):
+        if not all(b in atoms for _, b in e.pi.images.entries):
             raise PoolError(
                 f"pool {tuple(pool.atoms)} does not cover the support {tuple(ext_support(e))}"
             )
@@ -334,20 +349,38 @@ def supp_of(P: FinPresentation, e: ExtElem, pool: AtomPool) -> Support:
     """Least support of the element's class, exact; the pool only has to
     cover the element.
 
-    In a nominal set with least supports, an atom `a` of a support `T` is
-    outside the least support exactly when moving `a` alone, with the rest
-    of `T` fixed, keeps the element: under equality the swap of `a` with a
-    fresh atom (Pitts, *Nominal Sets*, CUP 2013, Sec. 3), under total order
-    a move of `a` inside its gap (Bojanczyk, Klin and Lasota, *Automata
-    theory in nominal sets*, LMCS 2014).  So each atom of the element's
-    own support takes one lookup in `P.pair_orbits`.
+    Under a group symmetry the reassignment `pi` of `e = (pi, x)` extends
+    to a global map `g` with `e = g . unit(x)`.  The congruence is
+    equivariant, and so are least supports, so `supp(e) = g(L_x) = pi(L_x)`,
+    where `L_x` is the least support of `unit(x)`'s class (Pitts, *Nominal
+    Sets*, CUP 2013, Sec. 2-3).  `L_x` is found once per generator, by
+    `_least_support`, and kept in `P._least_supports`.
     """
     if not P.sym.is_group:
         raise ValueError("least supports are computed for the group symmetries only")
     _require_in_pool(P, pool, e)
+    table = P._least_supports
+    least = table.get(e.base)
+    if least is None:
+        least = table[e.base] = _least_support(P, e.base)
+    return Support.of(e.pi(a) for a in least)
+
+
+def _least_support(P: FinPresentation, x) -> tuple:
+    """The least support of `unit(x)`'s class.
+
+    In a nominal set with least supports, an atom `a` of a support `T` is
+    outside the least support exactly when moving `a` alone, with the rest
+    of `T` fixed, keeps the element: under equality the swap of `a` with a
+    fresh atom (Pitts, Sec. 3), under total order a move of `a` inside its
+    gap (Bojanczyk, Klin and Lasota, *Automata theory in nominal sets*,
+    LMCS 2014).  So each atom of `supp(x)` takes one lookup in
+    `P.pair_orbits`.
+    """
+    e = unit(P.sym, P.generators, x)
     dom = ext_support(e)
     moves = ((a, act(lock_free_witness(P.sym, dom.minus([a]), a), e)) for a in dom)
-    return Support.of(a for a, moved in moves if _pair_key(P.sym, e, moved) not in P.pair_orbits)
+    return tuple(a for a, moved in moves if _pair_key(P.sym, e, moved) not in P.pair_orbits)
 
 
 def act_quot(g: GlobalMap, q: QuotElem) -> QuotElem:

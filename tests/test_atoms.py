@@ -186,6 +186,37 @@ class TestCompose:
         g, h, k = (finite_perm(EQ, d) for d in (d1, d2, d3))
         assert compose(compose(g, h), k) == compose(g, compose(h, k))
 
+    def test_pwl_matches_the_set_formula(self):
+        """A seeded deck of pwl maps with `int` and `Fraction` breakpoints,
+        identities among them: the entries equal, in value and type, those
+        of the former formula, which put the points in a set and checked
+        each through `apply`."""
+        def by_set(g, h):
+            h_inv = tuple(sorted((y, x) for x, y in h.entries))
+            xs = {x for x, _ in h.entries} | {_pwl_apply(h_inv, x) for x, _ in g.entries}
+            return _pwl_canonical([(x, apply(g, apply(h, x))) for x in sorted(xs)])
+
+        def typed(entries):
+            return [(type(x), x, type(y), y) for x, y in entries]
+
+        rng = Random(43)
+        maps = [identity(ORD)]
+        for _ in range(40):
+            x, y, pts = rng.randint(-6, 6), rng.randint(-6, 6), []
+            for _ in range(rng.randint(1, 5)):
+                pts.append((x, y))
+                x += rng.choice((1, 2, 3, Fraction(1, 2), Fraction(7, 3)))
+                y += rng.choice((1, 2, Fraction(1, 2), Fraction(4, 3)))
+            maps.append(pwl_map(pts))
+        shared = 0
+        for g in maps:
+            for h in maps:
+                got = compose(g, h)
+                assert typed(got.entries) == typed(by_set(g, h)), (g, h)
+                h_xs = {x for x, _ in h.entries}
+                shared += any(apply(inverse(h), x) in h_xs for x, _ in g.entries)
+        assert shared >= 100  # a point of h equal to a preimage of one of g's
+
 
 class TestAdmissible:
     def test_equality_needs_injectivity(self):

@@ -121,6 +121,40 @@ class TestQuotEq:
             )
 
 
+class TestPoolCheck:
+    """The pool check reads a set the pool builds once; the pool's equality,
+    hash, repr and error message stay those of its `atoms` field."""
+
+    def test_message_for_an_int_pool(self, pairs):
+        pool = AtomPool(Support.of([0, 1, 2]))
+        with pytest.raises(PoolError) as err:
+            quot_eq(pairs, relem(EQ, {0: 0, 1: 1}, "g"), relem(EQ, {0: 6, 1: 5}, "g"), pool)
+        assert str(err.value) == "pool (0, 1, 2) does not cover the support (5, 6)"
+
+    def test_message_for_a_fraction_pool(self):
+        P = FinPresentation(ORD, SuppSet.of({"g": Support.of([0, 1])}), ())
+        pool = AtomPool(Support.of([Fraction(0), Fraction(1, 2), Fraction(1)]))
+        e = relem(ORD, {0: Fraction(1, 2), 1: Fraction(7, 3)}, "g")
+        with pytest.raises(PoolError) as err:
+            supp_of(P, e, pool)
+        assert str(err.value) == (
+            "pool (Fraction(0, 1), Fraction(1, 2), Fraction(1, 1)) "
+            "does not cover the support (Fraction(1, 2), Fraction(7, 3))"
+        )
+
+    def test_int_atoms_of_a_fraction_pool(self):
+        """`2` and `Fraction(2)` are one atom, as they were to `issubset`."""
+        P = FinPresentation(ORD, SuppSet.of({"g": Support.of([0, 1])}), ())
+        pool = AtomPool(pool_atoms(ORD, 4))
+        assert supp_of(P, relem(ORD, {0: 1, 1: 3}, "g"), pool) == Support.of([1, 3])
+
+    def test_equality_hash_and_repr_after_a_query(self, pairs):
+        used, fresh_pool = AtomPool(Support.of([0, 1, 2])), AtomPool(Support.of([0, 1, 2]))
+        assert quot_eq(pairs, relem(EQ, {0: 0, 1: 1}, "g"), relem(EQ, {0: 1, 1: 0}, "g"), used)
+        assert used == fresh_pool and hash(used) == hash(fresh_pool)
+        assert repr(used) == repr(fresh_pool) == "AtomPool(atoms=Support(atoms=(0, 1, 2)))"
+
+
 def ext_key(e):
     return (e.pi.images.entries, e.base)
 
@@ -577,6 +611,83 @@ class TestSuppOfOracle:
         for e in elems:
             dropped, pool, _ = closure_supp(P, e)
             assert not dropped.intersection(supp_of(P, e, pool))
+
+
+def per_atom_supp(P, e, pool):
+    """The least support by its definition: an atom of `supp(e)` stays
+    when moving it alone, with the others fixed, changes `e`'s class."""
+    dom = ext_support(e)
+    moved = {a: act(lock_free_witness(P.sym, dom.minus([a]), a), e) for a in dom}
+    wide = AtomPool(pool.atoms.union(Support.of(b for m in moved.values() for b in ext_support(m))))
+    return Support.of(a for a, m in moved.items() if not quot_eq(P, e, m, wide))
+
+
+class TestLeastSupportTable:
+    """`supp_of` maps its generator's least support along the element's
+    reassignment; the table is filled per generator, on first query."""
+
+    ATOMS = {EQ: pool_atoms(EQ, 4), ORD: Support.of([0, Fraction(1, 2), 1, 2, Fraction(7, 3)])}
+
+    @staticmethod
+    def check_universe(P, pool):
+        universe = ext_enumerate(P.sym, P.generators, pool.atoms)
+        for e in universe:
+            assert supp_of(P, e, pool) == per_atom_supp(P, e, pool), e
+        return universe
+
+    @pytest.mark.parametrize("sym", (EQ, ORD))
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_per_atom_definition(self, sym, seed):
+        """Seeded presentations with the empty-support `z` and a generator
+        `u` that no equation mentions, on every element of the pool-bounded
+        universe; under total order the atoms include 1/2 and 7/3."""
+        atoms = self.ATOMS[sym]
+        rng = Random(f"table:{seed}")
+        P = oracle_presentation(rng, sym, atoms)
+        u = Support.of(rng.sample(tuple(atoms), 2))
+        P = FinPresentation(sym, SuppSet(P.generators.items + (("u", u),)), P.equations)
+        universe = self.check_universe(P, AtomPool(atoms))
+        assert {e.base for e in universe} >= {"z", "u"}
+
+    def test_unordered_pairs(self):
+        P = presentation_from_json(json.loads((DATA / "unordered_pairs.json").read_text()))
+        pool = AtomPool(pool_atoms(EQ, 6))
+        self.check_universe(P, pool)
+        assert P._least_supports == {"g": (0, 1)}
+
+    def test_chain_is_empty(self, chain):
+        pool = AtomPool(Support.of([0, Fraction(1, 2), 1, 2, Fraction(7, 3), 4]))
+        for e in self.check_universe(chain, pool):
+            assert supp_of(chain, e, pool) == Support()
+
+    def test_fraction_images(self):
+        """Under total order `(g, (a, b)) = (g, (a, c))`: the class keeps its first atom."""
+        gens = SuppSet.of([("g", Support.of([0, 1])), ("h", Support.of([0]))])
+        eq = (relem(ORD, {0: 0, 1: 1}, "g"), relem(ORD, {0: 0, 1: 2}, "g"))
+        P = FinPresentation(ORD, gens, (eq,))
+        pool = AtomPool(Support.of([Fraction(1, 2), Fraction(7, 3)]))
+        e = relem(ORD, {0: Fraction(1, 2), 1: Fraction(7, 3)}, "g")
+        assert supp_of(P, e, pool) == Support.of([Fraction(1, 2)])
+        assert supp_of(P, relem(ORD, {0: Fraction(7, 3)}, "h"), pool) == Support.of([Fraction(7, 3)])
+
+    def test_fills_per_generator(self, monkeypatch):
+        import suppsets.presentations as presentations
+
+        calls = []
+        witness = presentations.lock_free_witness
+        monkeypatch.setattr(presentations, "lock_free_witness", lambda *args: calls.append(args) or witness(*args))
+        gens = SuppSet.of([("g", Support.of([0, 1, 2])), ("h", Support.of([0])), ("k", Support())])
+        eq = (relem(EQ, {0: 0, 1: 1, 2: 2}, "g"), relem(EQ, {0: 1, 1: 0, 2: 2}, "g"))
+        P = FinPresentation(EQ, gens, (eq,))
+        pool = AtomPool(pool_atoms(EQ, 6))
+        assert supp_of(P, relem(EQ, {0: 3, 1: 4, 2: 5}, "g"), pool) == Support.of([3, 4, 5])
+        assert len(calls) == 3
+        assert set(P._least_supports) == {"g"}
+        assert supp_of(P, relem(EQ, {0: 5, 1: 0, 2: 1}, "g"), pool) == Support.of([0, 1, 5])
+        assert len(calls) == 3
+        assert set(P._least_supports) == {"g"}
+        assert supp_of(P, relem(EQ, {}, "k"), pool) == Support()
+        assert len(calls) == 3 and set(P._least_supports) == {"g", "k"}
 
 
 class TestActQuot:
