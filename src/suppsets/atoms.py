@@ -30,10 +30,6 @@ class SymmetryId(Enum):
     RENAMING = "renaming"
 
     @property
-    def rational_atoms(self) -> bool:
-        return self is SymmetryId.TOTAL_ORDER
-
-    @property
     def is_group(self) -> bool:
         """Renaming maps need not be invertible; the other two symmetries are groups."""
         return self is not SymmetryId.RENAMING
@@ -55,7 +51,7 @@ def check_atom(sym: SymmetryId, a: Atom) -> Atom:
         return a
     if isinstance(a, bool) or not isinstance(a, (int, Fraction)):
         raise ValueError(f"{a!r} is not an exact atom")
-    if not sym.rational_atoms and (not isinstance(a, int) or a < 0):
+    if sym is not SymmetryId.TOTAL_ORDER and (not isinstance(a, int) or a < 0):
         raise ValueError(f"{a!r} is not a natural-number atom ({sym.value})")
     return a
 
@@ -140,12 +136,6 @@ class FiniteMap:
     def items(self):
         return self.entries
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def is_identity(self) -> bool:
-        return all(a == b for a, b in self.entries)
-
 
 def is_admissible(sym: SymmetryId, p: FiniteMap) -> bool:
     """True iff `p` is the restriction of some global map of the symmetry.
@@ -178,6 +168,15 @@ def order_type(values: list) -> tuple:
             at_rank.append(v)
         ranks[i] = len(at_rank) - 1
     return ranks, at_rank
+
+
+def tuple_getter(at) -> operator.itemgetter:
+    """`t -> tuple(t[j] for j in at)` for a tuple `t`: `itemgetter` of two
+    or more indexes gives a tuple, and a slice keeps one or no index a
+    tuple too."""
+    if len(at) > 1:
+        return operator.itemgetter(*at)
+    return operator.itemgetter(slice(at[0], at[0] + 1) if at else slice(0))
 
 
 # --- piecewise-linear machinery (total-order symmetry) ---
@@ -227,7 +226,7 @@ class GlobalMap:
     _table: dict = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if not self.sym.rational_atoms:
+        if self.sym is not SymmetryId.TOTAL_ORDER:
             object.__setattr__(self, "_table", dict(self.entries))
 
     def is_identity(self) -> bool:
@@ -245,7 +244,7 @@ def _moved_points(mapping) -> tuple:
 
 def finite_perm(sym: SymmetryId, mapping) -> GlobalMap:
     """A finite permutation given by (a subset of) its graph; fixed points dropped."""
-    if sym.rational_atoms:
+    if sym is SymmetryId.TOTAL_ORDER:
         raise ValueError("finite permutations are for natural-number symmetries")
     ent = _moved_points(mapping)
     srcs = {a for a, _ in ent}
@@ -273,7 +272,7 @@ def transposition(sym: SymmetryId, a: Atom, b: Atom) -> GlobalMap:
 def apply(g: GlobalMap, a: Atom) -> Atom:
     """Evaluate a global map at an atom."""
     check_atom(g.sym, a)
-    if g.sym.rational_atoms:
+    if g.sym is SymmetryId.TOTAL_ORDER:
         return _pwl_apply(g.entries, a)
     return g._table.get(a, a)
 
@@ -282,7 +281,7 @@ def compose(g: GlobalMap, h: GlobalMap) -> GlobalMap:
     """The map `a -> g(h(a))`; both arguments must share a symmetry."""
     if g.sym is not h.sym:
         raise ValueError(f"mixed symmetries: {g.sym.value} and {h.sym.value}")
-    if g.sym.rational_atoms:
+    if g.sym is SymmetryId.TOTAL_ORDER:
         # The breakpoints are h's and the preimages under h of g's; h takes a
         # preimage to g's breakpoint, so each point takes one evaluation.  A
         # stable sort merges the two runs, and of two equal points h's is
@@ -300,10 +299,9 @@ def compose(g: GlobalMap, h: GlobalMap) -> GlobalMap:
 
 def inverse(g: GlobalMap) -> GlobalMap:
     """Inverse global map; renaming payloads must be permutations."""
-    if g.sym.rational_atoms:
+    if g.sym is SymmetryId.TOTAL_ORDER:
         return GlobalMap(g.sym, tuple(sorted((y, x) for x, y in g.entries)))
-    tgts = [b for _, b in g.entries]
-    if len(set(tgts)) != len(tgts):
+    if sorted(b for _, b in g.entries) != [a for a, _ in g.entries]:  # the moved points, permuted
         raise ValueError("map is not invertible")
     return GlobalMap(g.sym, tuple(sorted((b, a) for a, b in g.entries)))
 
@@ -404,7 +402,7 @@ def fresh(sym: SymmetryId, avoid: Collection) -> Atom:
 def fresh_atoms(sym: SymmetryId, avoid: Collection, count: int) -> list:
     """The first `count` atoms that repeated `fresh` calls would pick, each
     avoiding `avoid` and the ones before it; none when `count` <= 0."""
-    if sym.rational_atoms:
+    if sym is SymmetryId.TOTAL_ORDER:
         first = (max(avoid) + 1) if len(avoid) else Fraction(0)
         return [first + i for i in range(count)]
     out, used, n = [], set(avoid), 0

@@ -52,7 +52,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterable
 
 from .atoms import (
@@ -66,6 +65,7 @@ from .atoms import (
     check_atom,
     is_admissible,
     order_type,
+    tuple_getter,
 )
 from .freenom import ExtElem, RestrictedMap
 from .supported import SuppSet, b_support, json_array, suppset_from_json, suppset_to_json
@@ -248,8 +248,7 @@ def step_full(ra: RegisterAutomaton, c: ExtElem, input_atom: Atom):
         try:
             kept.append(ExtElem(RestrictedMap(ra.sym, fm), t.target))
         except ValueError:
-            if is_admissible(ra.sym, fm):  # raises on an out-of-domain atom
-                raise
+            is_admissible(ra.sym, fm)  # raises on an out-of-domain atom
             dropped.append((t, fm))
     return tuple(kept), tuple(dropped)
 
@@ -325,15 +324,6 @@ def _locator(ra: RegisterAutomaton):
     return _ranked
 
 
-def _renamer(ranks: tuple) -> itemgetter:
-    """The values at `ranks` of a renaming target (a tuple), as a tuple:
-    `itemgetter` of two or more indexes gives one, and a slice keeps one
-    or no index a tuple too."""
-    if len(ranks) > 1:
-        return itemgetter(*ranks)
-    return itemgetter(slice(ranks[0], ranks[0] + 1) if ranks else slice(0))
-
-
 def _template(ra: RegisterAutomaton, loc, regs: tuple, vals: tuple, a, ext: tuple, code) -> tuple:
     """The entry `_moves` stores in `ra._orbits` for the position `code` of
     `a` among `vals` at `(loc, regs)`, `ext` being the renaming target."""
@@ -343,7 +333,7 @@ def _template(ra: RegisterAutomaton, loc, regs: tuple, vals: tuple, a, ext: tupl
     succs = [None if k == same else k for k in map(_key, step_full(ra, c, ranks[-1])[0])]
     entry = ra._orbits[loc, regs, code] = (
         succs.index(None) if None in succs else None,
-        tuple((t, r, _renamer(v)) for t, r, v in filter(None, succs)))
+        tuple((t, r, tuple_getter(v)) for t, r, v in filter(None, succs)))
     return entry
 
 
@@ -366,8 +356,8 @@ def _moves(ra: RegisterAutomaton, keys, letters, keep: bool = False) -> tuple:
     itself as `(target, registers, renamer)` templates, and the index among
     them where the step lists the key itself, or `None` when it does not.
     A renamer is an `itemgetter` of the successor's value ranks
-    (`_renamer`), so a hit renames each template back to the atoms with no
-    call of the package and no list; a key that stays costs no tuple.
+    (`tuple_getter`), so a hit renames each template back to the atoms with
+    no call of the package and no list; a key that stays costs no tuple.
     Under `_among` the keys that a new letter steps share their position,
     so consecutive ones with the same location and registers share one
     table lookup.  A position whose step raises is not stored."""

@@ -29,9 +29,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from operator import itemgetter
 
-from .atoms import EMPTY_SUPPORT, GlobalMap, Support, SymmetryId, fresh_atoms, lock_free_witness, order_type
+from .atoms import (EMPTY_SUPPORT, GlobalMap, Support, SymmetryId, fresh_atoms, lock_free_witness, order_type,
+                    tuple_getter)
 from .atoms import fresh  # unused here; the benchmark's trace.IMPORT_POINTS wraps it
 from .freenom import (
     ExtElem,
@@ -137,11 +137,6 @@ def _instance_pairs(P: FinPresentation, pool: Support):
             yield act_finite(m, lhs), act_finite(m, rhs)
 
 
-def _picker(at: list):
-    """`t -> tuple(t[j] for j in at)`, by `itemgetter` where that returns a tuple."""
-    return itemgetter(*at) if len(at) > 1 else lambda t: tuple([t[j] for j in at])
-
-
 def quot_classes(P: FinPresentation, pool: AtomPool):
     """Union-find closure over the pool-bounded extension, run on pool
     positions.
@@ -167,7 +162,7 @@ def quot_classes(P: FinPresentation, pool: AtomPool):
     uf = UnionFind(range(len(index)))
     for lhs, rhs in P.equations:
         dom = ext_support(lhs).union(ext_support(rhs)).atoms
-        pick_l, pick_r = (_picker([dom.index(b) for _, b in e.pi.images.entries]) for e in (lhs, rhs))
+        pick_l, pick_r = (tuple_getter([dom.index(b) for _, b in e.pi.images.entries]) for e in (lhs, rhs))
         for t in admissible_targets(P.sym, len(dom), positions):
             uf.union(index[lhs.base, pick_l(t)], index[rhs.base, pick_r(t)])
     keys = [_ext_key(e) for e in universe]

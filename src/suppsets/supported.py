@@ -67,9 +67,6 @@ class SuppSet:
     def __len__(self) -> int:
         return len(self.items)
 
-    def __iter__(self):
-        return iter(self.elements)
-
     def atoms(self) -> Support:
         return ufs_support(s for _, s in self.items)
 

@@ -19,6 +19,7 @@ from suppsets.atoms import (
     extend_to_global,
     extend_to_global_alternate,
     finite_perm,
+    finite_renaming,
     fresh,
     fresh_atoms,
     global_map_from_json,
@@ -415,6 +416,32 @@ class TestFreshAtoms:
         """Naturals fill the gaps of `avoid`; total-order atoms count up from its maximum."""
         assert fresh_atoms(EQ, Support.of(range(0, 40000, 2)), 20000) == list(range(1, 40000, 2))
         assert fresh_atoms(ORD, Support(), 20000)[-1] == Fraction(19999)
+
+
+class TestRejectedMaps:
+    """Each map constructor names the condition its input breaks."""
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: FiniteMap.of([(0, 1), (0, 2)]), "duplicate keys in finite map"),
+        (lambda: _pwl_canonical([(0, 0), (1, 0)]), "breakpoints must be strictly increasing in both coordinates"),
+        (lambda: _pwl_canonical([(0, 0), (0, 1)]), "breakpoints must be strictly increasing in both coordinates"),
+        (lambda: finite_perm(ORD, {0: 1, 1: 0}), "finite permutations are for natural-number symmetries"),
+        (lambda: finite_perm(EQ, {0: 1}), "not a finite permutation"),
+        (lambda: finite_perm(EQ, {0: 2, 1: 2, 2: 0}), "not a finite permutation"),
+        (lambda: inverse(finite_renaming({0: 2, 1: 2})), "map is not invertible"),
+        # 0 -> 1 leaves 1 where it is, so two atoms go to 1
+        (lambda: inverse(finite_renaming({0: 1})), "map is not invertible"),
+        (lambda: extend_to_global_alternate(EQ, FiniteMap.of({0: 3, 1: 3})),
+         "map ((0, 3), (1, 3)) is not admissible for equality"),
+    ])
+    def test_rejects(self, make, message):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message
+
+    def test_a_renaming_permutation_is_inverted(self):
+        g = finite_renaming({0: 1, 1: 2, 2: 0})
+        assert compose(g, inverse(g)) == compose(inverse(g), g) == identity(RN)
 
 
 class TestFiniteMapLookup:

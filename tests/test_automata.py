@@ -421,6 +421,12 @@ class TestDeterminizeClassical:
         with pytest.raises(ValueError):
             determinize_generic(object, random_nfa(Random(0)))
 
+    def test_instance_and_coalgebra_must_match(self):
+        with pytest.raises(ValueError, match="^the pf instance determinizes an Nfa$"):
+            determinize_generic(PfSubsets, first_repeat_automaton())
+        with pytest.raises(ValueError, match="^the ext instance determinizes a RegisterAutomaton$"):
+            determinize_generic(ExtConfigs, random_nfa(Random(0)))
+
     def test_ext_instance_is_step(self):
         ra = first_repeat_automaton()
         conf = determinize_generic(ExtConfigs, ra)

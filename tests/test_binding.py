@@ -92,6 +92,11 @@ class TestAlphaEq:
     def test_dataclass_equality_is_alpha(self):
         assert AbsClass(0, Var(0)) == AbsClass(1, Var(1))
 
+    def test_equality_needs_one_carrier(self):
+        """Abstractions over two carriers, or an abstraction and a term, are never equal."""
+        a = AbsClass(0, Var(0))
+        assert a != AbsClass(0, Var(0), EXT_CARRIER) and a != Var(0)
+
     def test_binder_reuse_under_lambda(self):
         # both bind an unused atom over alpha-equal bodies
         assert alpha_eq(AbsClass(0, Lam(0, Var(0))), AbsClass(1, Lam(2, Var(2))))
@@ -424,6 +429,25 @@ class TestJson:
         assert named_from_json(named_to_json(t)) == t
         db = to_debruijn(t)
         assert debruijn_from_json(debruijn_to_json(db)) == db
+
+
+class TestForeignNodes:
+    """A value that is no node of the term's form is a `TypeError` naming
+    it, and a JSON object that is no node a `ValueError`."""
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: to_debruijn(App(Var(0), "v1")), TypeError, "not a named term: 'v1'"),
+        (lambda: debruijn_to_json(DbLam(Var(0))), TypeError, "not a de Bruijn term: Var(atom=0)"),
+        (lambda: show_named(Lam(0, None)), TypeError, "not a named term: None"),
+        (lambda: show_debruijn(DbApp(Idx(0), 1)), TypeError, "not a de Bruijn term: 1"),
+        (lambda: named_from_json({"lam": [0, {"idx": 0}]}), ValueError, "bad named-term JSON: {'idx': 0}"),
+        (lambda: debruijn_from_json({"app": [{"var": 0}, {"idx": 0}]}), ValueError,
+         "bad de Bruijn-term JSON: {'var': 0}"),
+    ])
+    def test_rejects(self, make, error, message):
+        with pytest.raises(error) as exc:
+            make()
+        assert str(exc.value) == message
 
 
 class TestPinnedSyntaxErrors:

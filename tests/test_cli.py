@@ -269,6 +269,38 @@ class TestMalformedShapes:
                                     f"{bad}: wrong JSON shape: {name} must be a JSON array of {length} entries, "
                                     f"not {n}")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("literal, message", [
+        (0.5, "inexact atom literal 0.5"), (True, "inexact atom literal True"), (None, "bad atom literal None")])
+    def test_atom_literal(self, capsys, tmp_path, fmt, literal, message):
+        """A float, a bool or null where an atom belongs, in an automaton or
+        an element, is an input error."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_replaced(json.loads(Path(FIRST_REPEAT).read_text()),
+                                            ("locations", "elements", 1, "support", 0), literal)))
+        elem = json.dumps(_replaced(PAIR_ELEM, ("pi", "0"), literal))
+        for argv in (["validate", str(bad)], ["quot", "eq", PAIRS, elem, PAIR_TEXT]):
+            self.assert_shape_error(capsys, fmt, argv, message)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("path, value, message", [
+        (("initial",), "qb", "initial location 'qb' is not a location"),
+        (("final", 0), "qb", "final location 'qb' is not a location"),
+        (("transitions", 0, "to"), "qb", "transition 0 ('q0' -> 'qb'): unknown endpoint"),
+        (("transitions", 2, "assign", "0"), {"reg": 5},
+         "transition 2 ('q1' -> 'q1'): assignment reads register 5 outside the source support"),
+    ], ids=["initial", "final", "endpoint", "assignment"])
+    def test_validate_names_what_is_out_of_place(self, capsys, tmp_path, fmt, path, value, message):
+        """A well-shaped automaton that names a location or register it does
+        not have is reported by `validate`, on stdout, with exit 2; `orbits`
+        takes it as an input error."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_replaced(json.loads(Path(FIRST_REPEAT).read_text()), path, value)))
+        code, out, err = run_cli(capsys, "--format", fmt, "validate", str(bad))
+        assert (code, err) == (2, "")
+        assert json.loads(out)["errors"] == [message] if fmt == "json" else out == message
+        self.assert_shape_error(capsys, fmt, ["orbits", str(bad)], message)
+
     @staticmethod
     def array_name(path) -> str:
         """What a shape error calls the array at `path`: its key, or for an
@@ -303,7 +335,7 @@ def _replaced(doc, path, value):
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 6)
-    | st.sampled_from(["", "g", "q0", "q1", "input", "eq", "1/2", "1/0", "equality", "total-order"]),
+    | st.sampled_from(["", "g", "q0", "q1", "input", "eq", "1/2", "1/0", "equality", "total-order", 0.5]),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.sampled_from(["id", "support", "elements", "reg", "pi", "base", "0", "1"]),
                       inner, max_size=3),
@@ -381,6 +413,7 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("argv", [
         ("quot", "supp", PAIRS, DEEP_JSON), ("quot", "eq", PAIRS, PAIR_TEXT, DEEP_JSON),
         ("quot", "supp", PAIRS, ZERO_ELEM), ("quot", "eq", PAIRS, ZERO_ELEM, PAIR_TEXT),
+        ("quot", "eq", PAIRS, '{"pi": {"0": 0, "1": 1}, "base": "h"}', PAIR_TEXT),  # no generator h
     ])
     def test_inline_element(self, capsys, fmt, argv):
         self.check(capsys, fmt, argv)
@@ -599,6 +632,22 @@ class TestSelfcheck:
         assert code == 0
         doc = json.loads(out)
         assert doc["ok"] and doc["suites"] == []
+
+    def test_a_counterexample_fails_the_check(self, capsys, monkeypatch):
+        from suppsets import checks
+
+        def suite_broken(rng, n):
+            res = checks.SuiteResult("broken")
+            res.check(True, "not kept")
+            res.check(False, "a counterexample")
+            return res
+
+        monkeypatch.setattr(checks, "SUITES", ((suite_broken, 1),))
+        report = checks.run_all(seed=0, budget=1)
+        assert not report.ok
+        assert report.to_text().splitlines() == [
+            "broken: 2 checks, 1 FAILURES", "  counterexample: a counterexample", "selfcheck: FAIL (seed=0, budget=1)"]
+        assert run_cli(capsys, "selfcheck", "--seed", "0", "--budget", "1") == (1, report.to_text(), "")
 
     def test_seed_determinism(self, capsys):
         code1, out1, _ = run_cli(capsys, "--format", "json", "selfcheck", "--seed", "9")

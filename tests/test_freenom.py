@@ -186,6 +186,15 @@ class TestExtend:
             extend(f, EXT_CARRIER, X, unit(EQ, X, "x"))
         assert exc.value.violations[0][0] == "x"
 
+    @pytest.mark.parametrize("sym", SYMS)
+    def test_an_action_that_sees_the_completion_is_caught(self, sym):
+        """The second completion catches a carrier whose action is no action
+        on the value: here it hands back the global map itself."""
+        X = sset({"x": [0]})
+        leaky = NominalCarrier(act=lambda g, v: g, supp=lambda v: Support())
+        with pytest.raises(AssertionError, match="carrier action is unsound$"):
+            extend({"x": None}, leaky, X, unit(sym, X, "x"))
+
     def test_into_a_quotient_carrier(self):
         # value a generator into the unordered-pairs quotient: the
         # reassignment {0->4, 1->7} must land on the class of the pair {4,7}

@@ -247,6 +247,15 @@ class TestCounts:
         with pytest.raises(ValueError):
             orbit_count(P, AtomPool(Support.of([0])))
 
+    def test_renaming_rejected_by_the_oracle_and_supp_of(self):
+        sym = SymmetryId.RENAMING
+        P = FinPresentation(sym, SuppSet.of({"g": Support.of([0])}), ())
+        pool = AtomPool(Support.of([0]))
+        with pytest.raises(ValueError, match="^orbits are defined for the group symmetries only$"):
+            orbit_count_enum(P, pool)
+        with pytest.raises(ValueError, match="^least supports are computed for the group symmetries only$"):
+            supp_of(P, relem(sym, {0: 0}, "g"), pool)
+
 
 def glue(rng, sym, gens, atoms, max_eqs):
     """0 to `max_eqs` equations over `atoms`, each between two generators
@@ -699,6 +708,12 @@ class TestActQuot:
         q = QuotElem(pairs, relem(EQ, {0: 4, 1: 7}, "g"))
         moved = act_quot(transposition(EQ, 4, 7), q)
         assert moved.same_class(q)
+
+    def test_two_presentations_share_no_class(self, free_one_atom):
+        e = relem(EQ, {0: 0}, "g")
+        glued = FinPresentation(EQ, free_one_atom.generators, ((e, relem(EQ, {0: 1}, "g")),))
+        assert QuotElem(glued, e).same_class(QuotElem(glued, e))
+        assert not QuotElem(free_one_atom, e).same_class(QuotElem(glued, e))
 
     def test_fresh_move_changes_class_and_support(self, pairs):
         q = QuotElem(pairs, relem(EQ, {0: 4, 1: 7}, "g"))

@@ -77,6 +77,35 @@ class TestCheckSupportedMap:
         assert isinstance(rep, ViolationReport)
         assert [v.element for v in rep.violations] == ["x"]
 
+    def test_a_report_is_falsy_and_a_map_truthy(self):
+        X, Y = sset({"x": []}), sset({"y": [0]})
+        assert not check_supported_map({"x": "y"}, X, Y)
+        assert check_supported_map({"y": "x"}, Y, X)
+
+
+A, B = sset({"x": []}), sset({"y": []})
+
+
+class TestRejectedArguments:
+    """Each construction names the condition its arguments break."""
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: check_supported_map({"x": "w"}, A, B), KeyError, "'w' is not in the target carrier"),
+        (lambda: compose_maps(identity_map(B), identity_map(A)), ValueError, "composition mismatch"),
+        (lambda: coequalizer(identity_map(A), identity_map(B)), ValueError, "coequalizer needs a parallel pair"),
+        (lambda: equalizer(identity_map(A), identity_map(B)), ValueError, "equalizer needs a parallel pair"),
+        (lambda: classify_regular_subobject(SuppMap.of(sset({"a": [], "b": []}), B, {"a": "y", "b": "y"})),
+         ValueError, "subobject map is not injective"),
+        (lambda: classify_regular_subobject(SuppMap.of(sset({"a": [0]}), B, {"a": "y"})),
+         ValueError, "subobject map is not support-reflecting"),
+        (lambda: image_factorization(identity_map(A), "both"), ValueError,
+         "support_from must be 'source' or 'target'"),
+    ])
+    def test_rejects(self, make, error, message):
+        with pytest.raises(error) as exc:
+            make()
+        assert exc.value.args == (message,)
+
 
 class TestProduct:
     def test_union_formula(self):
