@@ -56,9 +56,11 @@ def check_atom(sym: SymmetryId, a: Atom) -> Atom:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Support:
-    """A finite set of atoms, stored sorted for canonical equality."""
+    """A finite set of atoms, stored sorted for canonical equality.  The
+    operations read `atoms` directly; `intersect` and `minus` keep the
+    sorted order of `atoms`, so they sort nothing."""
 
     atoms: tuple = ()
 
@@ -79,16 +81,20 @@ class Support:
         return Support.of(self.atoms + tuple(other))
 
     def intersect(self, other: "Support") -> "Support":
-        o = set(other)
-        return Support.of(a for a in self.atoms if a in o)
+        o = _atom_set(other)
+        return Support(tuple(a for a in self.atoms if a in o))
 
     def minus(self, other: Iterable[Atom]) -> "Support":
-        o = set(other)
-        return Support.of(a for a in self.atoms if a not in o)
+        o = _atom_set(other)
+        return Support(tuple(a for a in self.atoms if a not in o))
 
     def issubset(self, other: "Support") -> bool:
-        o = set(other)
-        return all(a in o for a in self.atoms)
+        return _atom_set(other).issuperset(self.atoms)
+
+
+def _atom_set(atoms: Iterable[Atom]) -> set:
+    """The atoms of a `Support`, read from its tuple, or of any iterable."""
+    return set(atoms.atoms) if isinstance(atoms, Support) else set(atoms)
 
 
 EMPTY_SUPPORT = Support()
@@ -292,9 +298,11 @@ def compose(g: GlobalMap, h: GlobalMap) -> GlobalMap:
                       *((_pwl_apply(h_inv, x), y) for x, y in g.entries)])
         pts = [p for i, p in enumerate(pts) if i == 0 or pts[i - 1][0] != p[0]]
         return GlobalMap(g.sym, _pwl_canonical(pts))
-    carrier = {a for a, _ in g.entries} | {a for a, _ in h.entries}
-    ent = _moved_points({a: apply(g, apply(h, a)) for a in carrier})
-    return GlobalMap(g.sym, ent)
+    # The carrier atoms are the keys of the two tables, atoms the maps
+    # already hold, so each is evaluated by two lookups with no `check_atom`.
+    gt, ht = g._table, h._table
+    images = ((a, ht.get(a, a)) for a in gt.keys() | ht.keys())
+    return GlobalMap(g.sym, _moved_points((a, gt.get(b, b)) for a, b in images))
 
 
 def inverse(g: GlobalMap) -> GlobalMap:

@@ -81,7 +81,7 @@ class ExtElem:
 def check_ext_elem(X: SuppSet, e: ExtElem) -> ExtElem:
     if e.base not in X:
         raise ValueError(f"base {e.base!r} not in carrier")
-    if e.pi.domain != X.support(e.base):
+    if tuple(a for a, _ in e.pi.images.entries) != X.support(e.base).atoms:
         raise ValueError(
             f"reassignment domain {tuple(e.pi.domain)} != support {tuple(X.support(e.base))}"
         )
@@ -151,11 +151,12 @@ def extend(f, carrier: NominalCarrier, X: SuppSet, e: ExtElem):
     with a second deterministic completion.
     """
     get = f.__getitem__ if isinstance(f, Mapping) else f
-    violations = [
-        (x, carrier.supp(get(x)), X.support(x))
-        for x in X.elements
-        if not carrier.supp(get(x)).issubset(X.support(x))
-    ]
+    supp = carrier.supp
+    violations = []
+    for x, sx in X.items:
+        sv = supp(get(x))
+        if sv.atoms and not set(sx.atoms).issuperset(sv.atoms):
+            violations.append((x, sv, sx))
     if violations:
         raise ExtendPreconditionError(violations)
     sym = e.pi.sym
@@ -204,7 +205,7 @@ def ext_enumerate(sym: SymmetryId, X: SuppSet, pool: Support) -> tuple:
 EXT_CARRIER = NominalCarrier(act=act, supp=ext_support)
 
 # Atoms themselves as a nominal carrier.
-ATOM_CARRIER = NominalCarrier(act=apply, supp=lambda a: Support.of([a]))
+ATOM_CARRIER = NominalCarrier(act=apply, supp=lambda a: Support((a,)))
 
 
 # --- JSON forms ---

@@ -6,6 +6,11 @@ map may shrink supports but never grow them.  This module provides the
 finite-scale categorical toolkit: (co)products, (co)equalizers,
 exponentials, image factorizations, isomorphism and subobject tests, and
 the supports of finite subsets and of values under a nameless binder.
+
+Each construction is one pass over the carriers' own dicts and tuples
+(`SuppSet._index`, `SuppMap._table`, `Support.atoms`), plus one sort of the
+ids for `coequalizer`: no element costs a call of `SuppSet.support`,
+`SuppSet.__contains__`, `SuppMap.__call__` or `Support.issubset`.
 """
 
 from __future__ import annotations
@@ -39,11 +44,16 @@ class SuppSet:
     _index: dict = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        index = {}
-        for x, s in self.items:
-            if x in index:
-                raise ValueError(f"duplicate element id {x!r}")
-            index[x] = s
+        try:
+            index = dict(self.items)
+        except (TypeError, ValueError):
+            index = None  # the loop below raises the error of the pair at fault
+        if index is None or len(index) != len(self.items):
+            index = {}
+            for x, s in self.items:
+                if x in index:
+                    raise ValueError(f"duplicate element id {x!r}")
+                index[x] = s
         object.__setattr__(self, "_index", index)
 
     @staticmethod
@@ -53,7 +63,7 @@ class SuppSet:
 
     @property
     def elements(self) -> tuple:
-        return tuple(x for x, _ in self.items)
+        return tuple(self._index)
 
     def support(self, x) -> Support:
         return self._index[x]
@@ -131,16 +141,14 @@ class SuppMap:
         return dict(self.mapping)
 
     def is_injective(self) -> bool:
-        return len({b for _, b in self.mapping}) == len(self.mapping)
+        return len(set(self._table.values())) == len(self._table)
 
     def is_surjective(self) -> bool:
-        vals = {b for _, b in self.mapping}
-        return all(y in vals for y in self.target.elements)
+        return set(self._table.values()).issuperset(self.target._index)
 
     def is_support_reflecting(self) -> bool:
-        return all(
-            self.target.support(b) == self.source.support(a) for a, b in self.mapping
-        )
+        src, tgt = self.source._index, self.target._index
+        return all(tgt[b].atoms == src[a].atoms for a, b in self.mapping)
 
 
 def check_supported_map(f, X: SuppSet, Y: SuppSet):
@@ -150,14 +158,16 @@ def check_supported_map(f, X: SuppSet, Y: SuppSet):
     and land in Y.
     """
     get = f.__getitem__ if isinstance(f, Mapping) else f
+    index = Y._index
     mapping = []
     violations = []
-    for x, sx in X.items:
-        y = get(x)
-        if y not in Y:
-            raise KeyError(f"{y!r} is not in the target carrier")
-        if not Y.support(y).issubset(sx):
-            violations.append(SupportViolation(x, Y.support(y), sx))
+    for (x, sx), y in zip(X.items, map(get, X._index)):
+        try:
+            sy = index[y]
+        except (KeyError, TypeError):  # an unhashable value is never an id
+            raise KeyError(f"{y!r} is not in the target carrier") from None
+        if sy.atoms and not set(sx.atoms).issuperset(sy.atoms):
+            violations.append(SupportViolation(x, sy, sx))
         mapping.append((x, y))
     if violations:
         return ViolationReport(tuple(violations))
@@ -171,14 +181,16 @@ def identity_map(X: SuppSet) -> SuppMap:
 def compose_maps(g: SuppMap, f: SuppMap) -> SuppMap:
     if f.target != g.source:
         raise ValueError("composition mismatch")
-    return SuppMap(f.source, g.target, tuple((x, g(f(x))) for x in f.source.elements))
+    xs = f.source._index
+    gfx = map(g._table.__getitem__, map(f._table.__getitem__, xs))
+    return SuppMap(f.source, g.target, tuple(zip(xs, gfx)))
 
 
 # --- universal constructions ---
 
 def product(X: SuppSet, Y: SuppSet):
     """Cartesian product; the support of a pair is the union of the parts."""
-    items = [((x, y), X.support(x).union(Y.support(y))) for x in X.elements for y in Y.elements]
+    items = [((x, y), sx.union(sy)) for x, sx in X.items for y, sy in Y.items]
     P = SuppSet(tuple(items))
     pr1 = SuppMap(P, X, tuple((p, p[0]) for p, _ in items))
     pr2 = SuppMap(P, Y, tuple((p, p[1]) for p, _ in items))
@@ -187,8 +199,8 @@ def product(X: SuppSet, Y: SuppSet):
 
 def coproduct(X: SuppSet, Y: SuppSet):
     """Disjoint union; injected elements keep their supports."""
-    items = [(("inl", x), X.support(x)) for x in X.elements]
-    items += [(("inr", y), Y.support(y)) for y in Y.elements]
+    items = [(("inl", x), sx) for x, sx in X.items]
+    items += [(("inr", y), sy) for y, sy in Y.items]
     C = SuppSet(tuple(items))
     inl = SuppMap(X, C, tuple((x, ("inl", x)) for x in X.elements))
     inr = SuppMap(Y, C, tuple((y, ("inr", y)) for y in Y.elements))
@@ -215,26 +227,39 @@ def coequalizer(f: SuppMap, g: SuppMap):
     """Quotient the common target by f(r) ~ g(r).
 
     Each class is named by its least member id and carries the
-    intersection of its members' supports.
+    intersection of its members' supports.  The ids are sorted once by
+    `_id_key`, and classes are united on ranks in that order, the lesser
+    root kept, so a class's root is the rank of its least id.
     """
     if f.source != g.source or f.target != g.target:
         raise ValueError("coequalizer needs a parallel pair")
-    X = f.target
-    uf = UnionFind(X.elements)
-    for r in f.source.elements:
-        uf.union(f(r), g(r))
-    rep, meet = {}, {}  # class root -> least member id so far, meet of its members' supports
-    for x, sx in X.items:
-        k = uf.find(x)
-        if k not in rep:
-            rep[k], meet[k] = x, sx
-        else:
-            if _id_key(x) < _id_key(rep[k]):
-                rep[k] = x
-            meet[k] = meet[k].intersect(sx)
-    items = sorted(((rep[k], meet[k]) for k in rep), key=lambda it: _id_key(it[0]))
-    Q = SuppSet(tuple(items))
-    epi = SuppMap(X, Q, tuple((x, rep[uf.find(x)]) for x in X.elements))
+    X, rs = f.target, f.source._index
+    ids = sorted(X._index, key=_id_key)
+    rank = {x: i for i, x in enumerate(ids)}
+    parent = list(range(len(ids)))  # parent[i] <= i throughout
+    for a, b in zip(map(rank.__getitem__, map(f._table.__getitem__, rs)),
+                    map(rank.__getitem__, map(g._table.__getitem__, rs))):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    for i, p in enumerate(parent):  # in rank order, so parent[p] is already p's root
+        parent[i] = parent[p]
+    root_of = list(map(parent.__getitem__, map(rank.__getitem__, X._index)))  # in X's order
+    meet = {}  # root rank -> the meet of its class's supports so far, in X's order
+    for sx, k in zip(X._index.values(), root_of):
+        m = meet.get(k)
+        if m is None:
+            meet[k] = sx
+        elif m.atoms:
+            meet[k] = Support(tuple(filter(sx.atoms.__contains__, m.atoms)))
+    roots = sorted(meet)  # by rank, so the classes come sorted by least id
+    Q = SuppSet(tuple(zip(map(ids.__getitem__, roots), map(meet.__getitem__, roots))))
+    epi = SuppMap(X, Q, tuple(zip(X._index, map(ids.__getitem__, root_of))))
     return Q, epi
 
 
@@ -242,8 +267,8 @@ def equalizer(f: SuppMap, g: SuppMap):
     """The subset where f and g agree, with inherited supports."""
     if f.source != g.source or f.target != g.target:
         raise ValueError("equalizer needs a parallel pair")
-    X = f.source
-    items = tuple((x, X.support(x)) for x in X.elements if f(x) == g(x))
+    X, ft, gt = f.source, f._table, g._table
+    items = tuple((x, sx) for x, sx in X.items if ft[x] == gt[x])
     E = SuppSet(items)
     mono = SuppMap(E, X, tuple((x, x) for x, _ in items))
     return E, mono
@@ -257,7 +282,7 @@ def exponential(E: SuppSet, X: SuppSet) -> SuppSet:
         fid = tuple(zip(es, choice))
         supp = EMPTY_SUPPORT
         for e, x in fid:
-            supp = supp.union(X.support(x).minus(E.support(e)))
+            supp = supp.union(X._index[x].minus(E._index[e]))
         items.append((fid, supp))
     return SuppSet(tuple(items))
 
@@ -289,28 +314,29 @@ def image_factorization(f: SuppMap, support_from: str = "source"):
         raise ValueError("support_from must be 'source' or 'target'")
     X, Y = f.source, f.target
     source = support_from == "source"
+    ys = tuple(map(f._table.__getitem__, X._index))
     meet = {}  # each hit y -> the meet of its fibre's supports, in source order
-    for x, sx in X.items:
-        y = f(x)
-        if y not in meet:
+    for sx, y in zip(X._index.values(), ys):
+        m = meet.get(y)
+        if m is None:
             meet[y] = sx
-        elif source:
-            meet[y] = meet[y].intersect(sx)
-    items = tuple((y, meet[y] if source else Y.support(y)) for y in Y.elements if y in meet)
+        elif source and m.atoms:
+            meet[y] = Support(tuple(filter(sx.atoms.__contains__, m.atoms)))
+    items = tuple((y, meet[y] if source else sy) for y, sy in Y.items if y in meet)
     Im = SuppSet(items)
-    epi = SuppMap(X, Im, tuple((x, f(x)) for x in X.elements))
+    epi = SuppMap(X, Im, tuple(zip(X._index, ys)))
     mono = SuppMap(Im, Y, tuple((y, y) for y, _ in items))
     return epi, Im, mono
 
 
 def pf_support(X: SuppSet, elems: Iterable) -> Support:
     """Support of a finite subset: the union of its members' supports."""
-    return ufs_support(X.support(x) for x in elems)
+    return ufs_support(map(X._index.__getitem__, elems))
 
 
 def ufs_support(supports: Iterable[Support]) -> Support:
     """Union of a finite family of supports."""
-    return Support.of(a for s in supports for a in s)
+    return Support.of(a for s in supports for a in s.atoms)
 
 
 def b_support(s: Support) -> Support:

@@ -10,6 +10,7 @@ from suppsets.atoms import (
     _pwl_apply,
     _pwl_canonical,
     FiniteMap,
+    GlobalMap,
     Support,
     SymmetryId,
     apply,
@@ -217,6 +218,28 @@ class TestCompose:
                 h_xs = {x for x, _ in h.entries}
                 shared += any(apply(inverse(h), x) in h_xs for x, _ in g.entries)
         assert shared >= 100  # a point of h equal to a preimage of one of g's
+
+    @pytest.mark.parametrize("sym", [EQ, RN])
+    def test_tables_match_the_apply_formula(self, sym):
+        """A seeded deck of permutations (equality) or renamings, identities
+        among them: the entries read off the two tables equal those of the
+        former formula, which ran `apply` twice per carrier atom."""
+        def by_apply(g, h):
+            carrier = {a for a, _ in g.entries} | {a for a, _ in h.entries}
+            return GlobalMap(g.sym, tuple(sorted(
+                (a, b) for a in carrier for b in [apply(g, apply(h, a))] if a != b)))
+
+        rng = Random(47)
+        maps = [identity(sym)]
+        for _ in range(30):
+            moved = rng.sample(range(12), rng.randint(1, 6))
+            if sym is EQ:
+                maps.append(finite_perm(sym, dict(zip(moved, rng.sample(moved, len(moved))))))
+            else:
+                maps.append(finite_renaming({a: rng.randrange(12) for a in moved}))
+        for g in maps:
+            for h in maps:
+                assert compose(g, h) == by_apply(g, h), (g, h)
 
 
 class TestAdmissible:

@@ -14,6 +14,7 @@ from suppsets.atoms import (
     transposition,
 )
 from suppsets.freenom import (
+    ATOM_CARRIER,
     EXT_CARRIER,
     ExtElem,
     ExtendPreconditionError,
@@ -178,6 +179,14 @@ class TestExtend:
         f = {"x": unit(EQ, X, "x")}
         e = relem(EQ, {0: 4, 1: 7}, "x")
         assert extend(f, EXT_CARRIER, X, e) == relem(EQ, {0: 4, 1: 7}, "x")
+
+    def test_precondition_message_lists_every_violation_in_order(self):
+        X = sset({"a": [0], "b": [1, 2], "c": [3]})
+        with pytest.raises(ExtendPreconditionError) as exc:
+            extend({"a": 5, "b": 2, "c": 7}, ATOM_CARRIER, X, unit(EQ, X, "b"))
+        assert exc.value.args == ("valuation grows supports: supp(f('a')) = (5,) ⊄ (0,); "
+                                  "supp(f('c')) = (7,) ⊄ (3,)",)
+        assert [x for x, _, _ in exc.value.violations] == ["a", "c"]
 
     def test_precondition_violation_reported(self):
         X = sset({"x": []})
@@ -417,3 +426,18 @@ class TestCheckExtElem:
         with pytest.raises(ValueError):
             check_ext_elem(X, relem(EQ, {0: 4}, "x"))
         check_ext_elem(X, relem(EQ, {0: 4, 1: 5}, "x"))
+
+    @pytest.mark.parametrize("images, message", [
+        ({0: 4}, "reassignment domain (0,) != support (0, 2)"),
+        ({0: 4, 1: 5}, "reassignment domain (0, 1) != support (0, 2)"),
+        ({0: 4, 2: 5, 3: 6}, "reassignment domain (0, 2, 3) != support (0, 2)"),
+        ({}, "reassignment domain () != support (0, 2)"),
+    ])
+    def test_the_message_names_both_atom_lists(self, images, message):
+        X = sset({"x": [0, 2]})
+        with pytest.raises(ValueError) as exc:
+            check_ext_elem(X, relem(EQ, images, "x"))
+        assert exc.value.args == (message,)
+        with pytest.raises(ValueError) as exc:
+            check_ext_elem(X, relem(EQ, images, "y"))
+        assert exc.value.args == ("base 'y' not in carrier",)

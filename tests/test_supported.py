@@ -1,9 +1,11 @@
 import itertools
+from collections import Counter
 from random import Random
 
 import pytest
 
-from suppsets.atoms import Support, SymmetryId, pool_atoms
+from suppsets.atoms import FiniteMap, Support, SymmetryId, pool_atoms
+from suppsets.freenom import ATOM_CARRIER, ExtElem, RestrictedMap, extend
 from suppsets.supported import (
     SuppMap,
     SuppSet,
@@ -475,3 +477,168 @@ class TestJson:
         X, Y = sset({"x": [0, 1]}), sset({"y": [0]})
         f = SuppMap.of(X, Y, {"x": "y"})
         assert suppmap_from_json(suppmap_to_json(f), X, Y) == f
+
+
+def _carrier(rng, ids, most=4):
+    return SuppSet.of([(x, rng.sample(range(6), rng.randint(0, most))) for x in ids])
+
+
+def _unpack_error(pair) -> str:
+    """The message Python gives for unpacking `pair` into an id and a support."""
+    try:
+        x, s = pair
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"{pair!r} unpacks")
+
+
+class TestCarrierOracle:
+    """Each construction against a brute-force version of its definition, on
+    seeded carriers whose ids are `str`, `int` and tuples."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_coequalizer_is_the_closure(self, seed):
+        from suppsets.supported import _id_key
+
+        rng = Random(100 + seed)
+        ids = _mixed_ids(rng, rng.randint(1, 12))
+        X = _carrier(rng, ids)
+        R = SuppSet.of([(("r", j), []) for j in range(rng.randint(0, len(ids) + 2))])
+        f = SuppMap(R, X, tuple((r, rng.choice(ids)) for r in R.elements))
+        g = SuppMap(R, X, tuple((r, rng.choice(ids)) for r in R.elements))
+        same = {(x, x) for x in ids} | {(f(r), g(r)) for r in R.elements} | {(g(r), f(r)) for r in R.elements}
+        while True:  # the transitive closure, by squaring until nothing is added
+            more = same | {(a, d) for a, b in same for c, d in same if b == c}
+            if more == same:
+                break
+            same = more
+        classes = {frozenset(y for y in ids if (x, y) in same) for x in ids}
+        least = {c: min(c, key=_id_key) for c in classes}
+        want = sorted(((least[c], frozenset.intersection(*(frozenset(X.support(m)) for m in c)))
+                       for c in classes), key=lambda it: _id_key(it[0]))
+        Q, epi = coequalizer(f, g)
+        assert [(q, frozenset(s)) for q, s in Q.items] == want
+        assert all(tuple(s) == tuple(sorted(s)) for _, s in Q.items)
+        assert epi.source is X and epi.target is Q
+        assert epi.mapping == tuple((x, least[c]) for x in ids for c in classes if x in c)
+
+    @pytest.mark.parametrize("support_from", ["source", "target"])
+    @pytest.mark.parametrize("seed", range(30))
+    def test_image_factorization_is_the_fibres(self, seed, support_from):
+        rng = Random(200 + seed)
+        X = _carrier(rng, _mixed_ids(rng, rng.randint(0, 12)))
+        ys = _mixed_ids(rng, rng.randint(1, 8))
+        Y = _carrier(rng, ys, most=2)
+        f = SuppMap(X, Y, tuple((x, rng.choice(ys)) for x in X.elements))
+        fibres = {y: [x for x in X.elements if f(x) == y] for y in Y.elements}
+        want = [(y, frozenset.intersection(*(frozenset(X.support(x)) for x in fibres[y]))
+                 if support_from == "source" else frozenset(Y.support(y)))
+                for y in Y.elements if fibres[y]]
+        epi, Im, mono = image_factorization(f, support_from)
+        assert [(y, frozenset(s)) for y, s in Im.items] == want
+        assert (epi.source, epi.target, mono.source, mono.target) == (X, Im, Im, Y)
+        assert epi.mapping == f.mapping
+        assert mono.mapping == tuple((y, y) for y, _ in want)
+
+    def test_each_failing_clause_of_is_iso(self):
+        X = sset({"a": [0], "b": [1]})
+        cases = {  # name -> (map, injective, surjective, support-reflecting)
+            "iso": (SuppMap.of(X, sset({"p": [1], "q": [0]}), {"a": "q", "b": "p"}), True, True, True),
+            "not injective": (SuppMap.of(sset({"a": [0], "b": [0]}), sset({"p": [0]}), {"a": "p", "b": "p"}),
+                              False, True, True),
+            "not surjective": (SuppMap.of(X, sset({"p": [0], "q": [1], "r": []}), {"a": "p", "b": "q"}),
+                               True, False, True),
+            "drops a support": (SuppMap.of(X, sset({"p": [0], "q": []}), {"a": "p", "b": "q"}), True, True, False),
+        }
+        for name, (m, inj, surj, refl) in cases.items():
+            assert (m.is_injective(), m.is_surjective(), m.is_support_reflecting()) == (inj, surj, refl), name
+            assert is_iso(m) is (name == "iso"), name
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_violations_come_in_source_order(self, seed):
+        rng = Random(300 + seed)
+        X = _carrier(rng, _mixed_ids(rng, rng.randint(1, 12)), most=2)
+        ys = _mixed_ids(rng, rng.randint(1, 6))
+        Y = _carrier(rng, ys, most=3)
+        f = {x: rng.choice(ys) for x in X.elements}
+        grows = [x for x in X.elements if not set(Y.support(f[x])) <= set(X.support(x))]
+        res = check_supported_map(f, X, Y)
+        if not grows:
+            assert isinstance(res, SuppMap) and res.mapping == tuple(f.items())
+            return
+        assert [(v.element, v.result_support, v.source_support) for v in res.violations] == \
+            [(x, Y.support(f[x]), X.support(x)) for x in grows]
+        assert res.describe() == [f"support grows at {x!r}: {tuple(Y.support(f[x]))} ⊄ {tuple(X.support(x))}"
+                                  for x in grows]
+
+    @pytest.mark.parametrize("value", [["y"], {"y": 0}, "w"])
+    def test_a_value_outside_the_target_is_named(self, value):
+        """An unhashable value is no id either; the first such value stops
+        the check, though an earlier element's support grew."""
+        X, Y = sset({"a": [], "b": [0]}), sset({"y": [1]})
+        with pytest.raises(KeyError) as exc:
+            check_supported_map({"a": "y", "b": value}, X, Y)
+        assert exc.value.args == (f"{value!r} is not in the target carrier",)
+
+    def test_rejected_items_give_the_former_errors(self):
+        s = Support.of([0])
+        with pytest.raises(ValueError) as exc:
+            SuppSet((("x", s), ("y", s), ("x", Support())))
+        assert exc.value.args == ("duplicate element id 'x'",)
+        with pytest.raises(ValueError) as exc:
+            SuppSet.of([(1, []), ("1", []), (True, [0])])
+        assert exc.value.args == ("duplicate element id True",)
+        with pytest.raises(TypeError, match="unhashable type: 'list'"):
+            SuppSet((("x", s), (["y"], s)))
+        for bad in (("x", s, 0), ("x",)):
+            with pytest.raises(ValueError) as exc:
+                SuppSet((("w", s), bad))
+            assert exc.value.args == (_unpack_error(bad),)
+
+
+class TestCarrierOpsMakeNoCallPerElement:
+    """On a 1,000-element carrier each construction reads the carriers'
+    dicts and tuples: spies on the per-element accessors count a few calls
+    per construction, not one per element.  No clock."""
+
+    SPIED = ((SuppSet, "support"), (SuppSet, "__contains__"), (SuppMap, "__call__"),
+             (Support, "issubset"), (Support, "__iter__"))
+
+    def test_thousand_elements(self, monkeypatch):
+        rng, n = Random(53), 1000
+        xs = [f"x{i:04d}" for i in range(n)]
+        supps = [frozenset(rng.sample(range(24), rng.randint(1, 3))) for _ in range(n)]
+        X = SuppSet.of([(x, sorted(s)) for x, s in zip(xs, supps)])
+        ys = [f"y{j:04d}" for j in range(n // 2)]
+        Y = SuppSet.of([(y, sorted(supps[2 * j] & supps[2 * j + 1])) for j, y in enumerate(ys)])
+        fmap = {x: ys[i // 2] for i, x in enumerate(xs)}
+        Z = SuppSet.of([("z", [])])
+        g = SuppMap.of(Y, Z, {y: "z" for y in ys})
+        R = SuppSet.of([(("r", j), []) for j in range(0, n // 2, 2)])
+        p1 = SuppMap(R, X, tuple((r, xs[2 * r[1]]) for r in R.elements))
+        p2 = SuppMap(R, X, tuple((r, xs[2 * r[1] + 1]) for r in R.elements))
+        C = SuppSet.of([(("c", x), s) for x, s in X.items])
+        h = SuppMap(X, C, tuple((x, ("c", x)) for x in xs))
+        e = ExtElem(RestrictedMap(EQ, FiniteMap.of({a: a + 100 for a in supps[0]})), xs[0])
+        calls = Counter()
+        for cls, name in self.SPIED:
+            def spied(*args, _inner=getattr(cls, name), _name=f"{cls.__name__}.{name}"):
+                calls[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(cls, name, spied)
+        f = SuppMap.of(X, Y, fmap)
+        ops = {
+            "SuppMap.of": lambda: SuppMap.of(X, Y, fmap),
+            "compose_maps": lambda: compose_maps(g, f),
+            "coequalizer": lambda: coequalizer(p1, p2),
+            "image_factorization source": lambda: image_factorization(f),
+            "image_factorization target": lambda: image_factorization(f, "target"),
+            "is_iso": lambda: is_iso(h),
+            "extend": lambda: extend({x: min(s) for x, s in zip(xs, supps)}, ATOM_CARRIER, X, e),
+        }
+        for name, op in ops.items():
+            calls.clear()
+            op()
+            assert sum(calls.values()) <= 8, (name, calls)  # extend's two completions iterate e's atoms
+        assert is_iso(h) and len(coequalizer(p1, p2)[0]) == n - len(R)
