@@ -248,11 +248,18 @@ def _moved_points(mapping) -> tuple:
     return tuple(sorted((a, b) for a, b in pairs if a != b))
 
 
+def _checked_points(sym: SymmetryId, mapping) -> tuple:
+    """`_moved_points` after `check_atom` on every atom given, fixed ones too,
+    so a map is refused where it is built, not where an atom meets it."""
+    pairs = mapping.items() if isinstance(mapping, Mapping) else mapping
+    return _moved_points([(check_atom(sym, a), check_atom(sym, b)) for a, b in pairs])
+
+
 def finite_perm(sym: SymmetryId, mapping) -> GlobalMap:
     """A finite permutation given by (a subset of) its graph; fixed points dropped."""
     if sym is SymmetryId.TOTAL_ORDER:
         raise ValueError("finite permutations are for natural-number symmetries")
-    ent = _moved_points(mapping)
+    ent = _checked_points(sym, mapping)
     srcs = {a for a, _ in ent}
     tgts = [b for _, b in ent]
     if len(set(tgts)) != len(tgts) or set(tgts) != srcs:
@@ -261,7 +268,7 @@ def finite_perm(sym: SymmetryId, mapping) -> GlobalMap:
 
 
 def finite_renaming(mapping) -> GlobalMap:
-    return GlobalMap(SymmetryId.RENAMING, _moved_points(mapping))
+    return GlobalMap(SymmetryId.RENAMING, _checked_points(SymmetryId.RENAMING, mapping))
 
 
 def pwl_map(breakpoints) -> GlobalMap:

@@ -11,12 +11,14 @@ The two views are connected by an explicit isomorphism.  `phi` turns a
 term-under-a-nameless-binder into an abstraction class (a binder atom and
 a body, modulo alpha), and `phi_inv` goes back; the translation rotates
 indices with the cycle `sigma(m) = (0 1 ... m)` for a sufficiently large m.
+
+Each job on terms is its own loop on an explicit stack, with no callback per
+node, so terms of any depth work.  The node classes have `__slots__`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
 from operator import attrgetter
 
 from .atoms import (
@@ -37,18 +39,18 @@ _EQ = SymmetryId.EQUALITY
 
 # --- named terms ---
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     atom: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App:
     fn: object
     arg: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lam:
     binder: int
     body: object
@@ -56,23 +58,23 @@ class Lam:
 
 # --- de Bruijn terms ---
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Idx:
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DbApp:
     fn: object
     arg: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DbLam:
     body: object
 
 
-# --- one traversal core for both forms ---
+# --- what tells the two forms apart, and the walks on explicit stacks ---
 
 @dataclass(frozen=True)
 class _Form:
@@ -90,7 +92,7 @@ class _Form:
 
 _NAMED = _Form(Var, App, Lam, attrgetter("atom"), "v", "var", "named", True)
 _DB = _Form(Idx, DbApp, DbLam, attrgetter("index"), "#", "idx", "de Bruijn", False)
-_POST = object()  # on a walk's stack: the children of the node below it are done
+_APP, _LAM = object(), object()  # on a walk's stack: close an application, an abstraction
 
 
 def _index(bound: dict, depth: int, atom: int) -> int:
@@ -101,59 +103,56 @@ def _index(bound: dict, depth: int, atom: int) -> int:
     return depth - outer[-1] if outer else atom + depth
 
 
-def _fold(t, form: _Form, leaf, app, lam, enter=lambda t: None):
-    """Post-order fold on an explicit stack: `leaf(value, index, depth)` gets
-    a leaf's de Bruijn index and binder depth, `app(fn, arg)` and
-    `lam(t, body)` the folded children; `enter(t)` runs before a body."""
-    bound = {}  # named: the depths of each atom's binders in scope
-    depth = 0
+def free_atoms(t) -> Support:
+    """Free variables of a named term: one pre-order walk that counts the
+    binders in scope per atom and keeps each leaf whose atom has none."""
+    bound, free = {}, set()
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if t is _LAM:
+            bound[todo.pop()] -= 1
+        elif isinstance(t, Var):
+            if not bound.get(t.atom):
+                free.add(t.atom)
+        elif isinstance(t, App):
+            todo += (t.arg, t.fn)
+        elif isinstance(t, Lam):
+            a = t.binder
+            bound[a] = bound.get(a, 0) + 1
+            todo += (a, _LAM, t.body)
+        else:
+            raise TypeError(f"not a named term: {t!r}")
+    return Support.of(free)
+
+
+def act_term(g: GlobalMap, t):
+    """Rename every atom occurrence, bound and free, along a permutation: one
+    rebuild that reads a plain natural's image off the map's table, and asks
+    `apply` only about any other atom, so a bad atom raises what `apply` does."""
+    if g.sym is not _EQ:
+        raise ValueError("terms carry equality-symmetry atoms")
+    table = g._table
     done = []
     todo = [t]
     while todo:
         t = todo.pop()
-        if t is _POST:
-            t = todo.pop()
-            if isinstance(t, form.lam):
-                done[-1] = lam(t, done[-1])
-                depth -= 1
-                if form.named:
-                    bound[t.binder].pop()
-            else:
-                arg = done.pop()
-                done[-1] = app(done[-1], arg)
-        elif isinstance(t, form.leaf):
-            v = form.value(t)
-            done.append(leaf(v, _index(bound, depth, v) if form.named else v, depth))
-        elif isinstance(t, form.app):
-            todo += (t, _POST, t.arg, t.fn)
-        elif isinstance(t, form.lam):
-            enter(t)
-            depth += 1
-            if form.named:
-                bound.setdefault(t.binder, []).append(depth)
-            todo += (t, _POST, t.body)
+        if t is _APP:
+            arg = done.pop()
+            done[-1] = App(done[-1], arg)
+        elif t is _LAM:  # the binder is renamed after its body: a bad atom inside it raises first
+            a = todo.pop()
+            done[-1] = Lam(table.get(a, a) if type(a) is int and a >= 0 else apply(g, a), done[-1])
+        elif isinstance(t, Var):
+            a = t.atom
+            done.append(Var(table.get(a, a) if type(a) is int and a >= 0 else apply(g, a)))
+        elif isinstance(t, App):
+            todo += (_APP, t.arg, t.fn)
+        elif isinstance(t, Lam):
+            todo += (t.binder, _LAM, t.body)
         else:
-            raise TypeError(f"not a {form.name} term: {t!r}")
+            raise TypeError(f"not a named term: {t!r}")
     return done[0]
-
-
-def _free(t, form: _Form) -> Support:
-    """The ambient atoms a term refers to: a leaf whose de Bruijn index i is
-    at least its binder depth d refers to the atom i - d."""
-    free = _fold(t, form, lambda _, i, d: {i - d} if i >= d else set(), _union, lambda _, body: body)
-    return Support.of(free)
-
-
-def free_atoms(t) -> Support:
-    """Free variables of a named term, read off its leaves in one fold."""
-    return _free(t, _NAMED)
-
-
-def act_term(g: GlobalMap, t):
-    """Rename every atom occurrence, bound and free, along a permutation."""
-    if g.sym is not _EQ:
-        raise ValueError("terms carry equality-symmetry atoms")
-    return _fold(t, _NAMED, lambda a, *_: Var(apply(g, a)), App, lambda t, x: Lam(apply(g, t.binder), x))
 
 
 def alpha_eq_terms(t1, t2) -> bool:
@@ -165,7 +164,7 @@ def alpha_eq_terms(t1, t2) -> bool:
     todo = [(t1, t2)]
     while todo:
         a, b = todo.pop()
-        if a is _POST:  # the body of the abstraction pair b is done
+        if a is _LAM:  # the body of the abstraction pair b is done
             a, b = b
             depth -= 1
             bound1[a.binder].pop()
@@ -179,7 +178,7 @@ def alpha_eq_terms(t1, t2) -> bool:
             depth += 1
             bound1.setdefault(a.binder, []).append(depth)
             bound2.setdefault(b.binder, []).append(depth)
-            todo += ((_POST, (a, b)), (a.body, b.body))
+            todo += ((_LAM, (a, b)), (a.body, b.body))
         else:
             for t in (a, b):
                 if not isinstance(t, (Var, App, Lam)):
@@ -272,51 +271,119 @@ def phi_inv(a: AbsClass):
 def to_debruijn(t):
     """Named to de Bruijn: bound occurrences become binder distances, the
     free atom k at depth d becomes index k + d."""
-    return _fold(t, _NAMED, lambda a, i, d: Idx(i), DbApp, lambda _, body: DbLam(body))
+    bound = {}  # atom -> the depths of its binders in scope
+    depth = 0
+    done = []
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if t is _APP:
+            arg = done.pop()
+            done[-1] = DbApp(done[-1], arg)
+        elif t is _LAM:
+            bound[todo.pop()].pop()
+            depth -= 1
+            done[-1] = DbLam(done[-1])
+        elif isinstance(t, Var):
+            outer = bound.get(t.atom)
+            done.append(Idx(depth - outer[-1] if outer else t.atom + depth))
+        elif isinstance(t, App):
+            todo += (_APP, t.arg, t.fn)
+        elif isinstance(t, Lam):
+            depth += 1
+            bound.setdefault(t.binder, []).append(depth)
+            todo += (t.binder, _LAM, t.body)
+        else:
+            raise TypeError(f"not a named term: {t!r}")
+    return done[0]
 
 
 def db_free_indices(t) -> Support:
     """Ambient atoms referenced by a de Bruijn term: an index n below its
-    binder depth d is bound, and one at least d refers to the atom n - d."""
-    return _free(t, _DB)
-
-
-def _union(a: set, b: set) -> set:
-    """Merge the smaller set into the larger."""
-    if len(a) < len(b):
-        a, b = b, a
-    a |= b
-    return a
+    binder depth d is bound, and one at least d refers to the atom n - d.
+    One pre-order walk that tracks the depth."""
+    free = set()
+    depth = 0
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if t is _LAM:
+            depth -= 1
+        elif isinstance(t, Idx):
+            if t.index >= depth:
+                free.add(t.index - depth)
+        elif isinstance(t, DbApp):
+            todo += (t.arg, t.fn)
+        elif isinstance(t, DbLam):
+            depth += 1
+            todo += (_LAM, t.body)
+        else:
+            raise TypeError(f"not a de Bruijn term: {t!r}")
+    return Support.of(free)
 
 
 def from_debruijn(t):
     """De Bruijn to named; binder atoms are the smallest that avoid capture.
 
-    A bottom-up pass records the levels (0 for the root binder, -1-k for the
-    ambient atom k) each abstraction's body reaches outside it; a top-down
-    pass names the binders.  Beyond the term's size, each binder costs the
-    number of outer names its body refers to."""
+    Two loops.  The first walks the term in pre-order with one set per open
+    abstraction of the levels (0 for the root binder, -1-k for the ambient
+    atom k) its body reaches; on closing, an abstraction keeps the levels
+    outside it and merges the smaller set into its parent's.  The second
+    rebuilds the term and names each binder with the least natural that no
+    name at those levels takes.  Beyond the term's size, each binder costs
+    the number of outer names its body refers to."""
     outside = []  # per abstraction, in pre-order
-    open_slots = []  # the slots in `outside` of the abstractions around the node
-
-    def enter(lam):
-        open_slots.append(len(outside))
-        outside.append(None)
-
-    def close(lam, body):
-        body.discard(len(open_slots) - 1)
-        outside[open_slots.pop()] = tuple(body)
-        return body
-
-    _fold(t, _DB, lambda n, i, d: {d - 1 - n}, _union, close, enter)
+    reach = [set()]  # per open abstraction, below them the root's: the levels reached so far
+    depth = 0
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        if u is _LAM:
+            depth -= 1
+            body = reach.pop()
+            body.discard(depth)
+            outside[todo.pop()] = tuple(body)
+            up = reach[-1]
+            if len(body) > len(up):
+                reach[-1], up, body = body, body, up
+            up |= body
+        elif isinstance(u, Idx):
+            reach[-1].add(depth - 1 - u.index)
+        elif isinstance(u, DbApp):
+            todo += (u.arg, u.fn)
+        elif isinstance(u, DbLam):
+            depth += 1
+            reach.append(set())
+            todo += (len(outside), _LAM, u.body)
+            outside.append(None)
+        else:
+            raise TypeError(f"not a de Bruijn term: {u!r}")
     names = []  # names[level]: the atom of the binder at that level on the current path
     pending = iter(outside)
-
-    def bind(lam):
-        names.append(fresh(_EQ, {names[k] if k >= 0 else -1 - k for k in next(pending)}))
-
-    return _fold(t, _DB, lambda n, i, d: Var(names[d - 1 - n] if n < d else n - d), App,
-                 lambda lam, body: Lam(names.pop(), body), bind)
+    done = []
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if t is _APP:
+            arg = done.pop()
+            done[-1] = App(done[-1], arg)
+        elif t is _LAM:
+            depth -= 1
+            done[-1] = Lam(names.pop(), done[-1])
+        elif isinstance(t, Idx):
+            n = t.index
+            done.append(Var(names[depth - 1 - n] if n < depth else n - depth))
+        elif isinstance(t, DbApp):
+            todo += (_APP, t.arg, t.fn)
+        else:  # an abstraction, as the first loop checked
+            taken = {names[k] if k >= 0 else -1 - k for k in next(pending)}
+            a = 0
+            while a in taken:
+                a += 1
+            depth += 1
+            names.append(a)
+            todo += (_LAM, t.body)
+    return done[0]
 
 
 # --- concrete syntax: named `\\vN. t`, `t u`, `vN`; de Bruijn `\\ t`, `#N` ---
@@ -327,14 +394,14 @@ class TermSyntaxError(ValueError):
 
 def _tokenize(src: str, sigil: str):
     tokens = []
-    i = 0
-    while i < len(src):
+    i, end = 0, len(src)
+    while i < end:
         ch = src[i]
         j = i + 1
         if ch in "\\.()":
             tokens.append(ch)
         elif ch == sigil:
-            while j < len(src) and src[j].isdecimal():
+            while j < end and src[j].isdecimal():
                 j += 1
             if j == i + 1:
                 raise TermSyntaxError(f"expected digits after {ch!r} at {i}")
@@ -346,41 +413,46 @@ def _tokenize(src: str, sigil: str):
 
 
 def _parse(src: str, form: _Form):
-    """Shift-reduce over a stack of open groups `[opener, operand, ...]`; the
-    opener is None at the top, "(", or the maker of an abstraction, whose
-    body runs to the end of its enclosing group.  A closed group applies
-    its operands left to right."""
-    tokens = _tokenize(src, form.sigil) + [None]
-    groups = [[None]]
+    """Shift-reduce over a stack of open groups, each kept as its opener and
+    the application of its operands so far (None before the first).  The
+    opener is None at the top, "(", or an abstraction's binder ("\\" in de
+    Bruijn form), whose body runs to the end of its enclosing group.  Each
+    operand is applied to the group's application as it is read."""
+    tokens = _tokenize(src, form.sigil)
+    tokens.append(None)
+    leaf, app, named = form.leaf, form.app, form.named
+    groups = []  # the enclosing groups' (opener, application)
+    opener = acc = None
     pos = 0
     while True:
         tok = tokens[pos]
         pos += 1
-        if tok == "\\" and form.named:
-            if not isinstance(tokens[pos], int):
-                raise TermSyntaxError("expected a variable after \\")
-            if tokens[pos + 1] != ".":
-                raise TermSyntaxError("expected '.' after the binder")
-            groups.append([partial(Lam, tokens[pos])])
-            pos += 2
-        elif tok == "\\":
-            groups.append([form.lam])
-        elif tok == "(":
-            groups.append([tok])
-        elif isinstance(tok, int):
-            groups[-1].append(form.leaf(tok))
-        elif len(groups[-1]) == 1 or tok == ".":
+        if type(tok) is int:
+            acc = leaf(tok) if acc is None else app(acc, leaf(tok))
+        elif tok == "\\" or tok == "(":
+            if tok == "\\" and named:
+                if type(tokens[pos]) is not int:
+                    raise TermSyntaxError("expected a variable after \\")
+                if tokens[pos + 1] != ".":
+                    raise TermSyntaxError("expected '.' after the binder")
+                tok = tokens[pos]
+                pos += 2
+            groups.append((opener, acc))
+            opener, acc = tok, None
+        elif acc is None or tok == ".":
             raise TermSyntaxError(f"unexpected token {tok!r}")
         else:  # ")" or the end closes the abstractions up to the innermost group
-            while callable(groups[-1][0]):
-                make, *body = groups.pop()
-                groups[-1].append(make(reduce(form.app, body)))
-            if (tok is None) != (groups[-1][0] is None):
+            while opener is not None and opener != "(":
+                term = Lam(opener, acc) if named else DbLam(acc)
+                opener, acc = groups.pop()
+                acc = term if acc is None else app(acc, term)
+            if (tok is None) != (opener is None):
                 raise TermSyntaxError("unbalanced parenthesis" if tok is None else "trailing input")
-            _, *operands = groups.pop()
             if tok is None:
-                return reduce(form.app, operands)
-            groups[-1].append(reduce(form.app, operands))
+                return acc
+            term = acc
+            opener, acc = groups.pop()
+            acc = term if acc is None else app(acc, term)
 
 
 class _Text(str):
@@ -432,29 +504,48 @@ def show_debruijn(t) -> str:
 # --- JSON mirrors of the trees ---
 
 def _to_json(t, form: _Form):
-    lam = (lambda t, body: {"lam": [t.binder, body]}) if form.named else (lambda _, body: {"lam": body})
-    return _fold(t, form, lambda v, *_: {form.key: v}, lambda f, x: {"app": [f, x]}, lam)
+    done = []
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if t is _APP:
+            arg = done.pop()
+            done[-1] = {"app": [done[-1], arg]}
+        elif t is _LAM:  # the abstraction waits below its body's marker
+            t = todo.pop()
+            done[-1] = {"lam": [t.binder, done[-1]] if form.named else done[-1]}
+        elif isinstance(t, form.leaf):
+            done.append({form.key: form.value(t)})
+        elif isinstance(t, form.app):
+            todo += (_APP, t.arg, t.fn)
+        elif isinstance(t, form.lam):
+            todo += (t, _LAM, t.body)
+        else:
+            raise TypeError(f"not a {form.name} term: {t!r}")
+    return done[0]
 
 
 def _from_json(d, form: _Form):
-    """The inverse of `_to_json`; a node's maker waits on the stack below its children."""
+    """The inverse of `_to_json`, in the same post-order."""
     done = []
     todo = [d]
     while todo:
         d = todo.pop()
-        if callable(d):
-            last = done.pop()
-            done.append(d(done.pop(), last) if d is form.app else d(last))
+        if d is _APP:
+            arg = done.pop()
+            done[-1] = form.app(done[-1], arg)
+        elif d is _LAM:
+            done[-1] = Lam(todo.pop(), done[-1]) if form.named else DbLam(done[-1])
         elif form.key in d:
             done.append(form.leaf(d[form.key]))
         elif "app" in d:
             f, x = d["app"]
-            todo += (form.app, x, f)
+            todo += (_APP, x, f)
         elif "lam" in d and form.named:
             a, body = d["lam"]
-            todo += (partial(Lam, a), body)
+            todo += (a, _LAM, body)
         elif "lam" in d:
-            todo += (DbLam, d["lam"])
+            todo += (_LAM, d["lam"])
         else:
             raise ValueError(f"bad {form.name}-term JSON: {d!r}")
     return done[0]

@@ -456,6 +456,15 @@ class TestRejectedMaps:
         (lambda: inverse(finite_renaming({0: 1})), "map is not invertible"),
         (lambda: extend_to_global_alternate(EQ, FiniteMap.of({0: 3, 1: 3})),
          "map ((0, 3), (1, 3)) is not admissible for equality"),
+        # every atom given is checked where the map is built, fixed points too
+        (lambda: finite_perm(EQ, {-1: 0, 0: -1}), "-1 is not a natural-number atom (equality)"),
+        (lambda: finite_perm(EQ, [(0, 1), (1, 0), (-2, -2)]), "-2 is not a natural-number atom (equality)"),
+        (lambda: finite_perm(EQ, {Fraction(1, 2): 0, 0: Fraction(1, 2)}),
+         "Fraction(1, 2) is not a natural-number atom (equality)"),
+        (lambda: finite_perm(EQ, {True: 0, 0: True}), "True is not an exact atom"),
+        (lambda: finite_renaming({0: -1}), "-1 is not a natural-number atom (renaming)"),
+        (lambda: finite_renaming([(Fraction(1), 0)]), "Fraction(1, 1) is not a natural-number atom (renaming)"),
+        (lambda: finite_renaming({"a": 0}), "'a' is not an exact atom"),
     ])
     def test_rejects(self, make, message):
         with pytest.raises(ValueError) as exc:

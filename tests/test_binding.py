@@ -1,9 +1,12 @@
+from collections import Counter
+from fractions import Fraction
 from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from suppsets.atoms import Support, SymmetryId, apply, finite_perm, transposition
+import suppsets.binding as binding
+from suppsets.atoms import Support, SymmetryId, apply, finite_perm, inverse, transposition
 from suppsets.binding import (
     AbsClass,
     App,
@@ -443,6 +446,15 @@ class TestForeignNodes:
         (lambda: named_from_json({"lam": [0, {"idx": 0}]}), ValueError, "bad named-term JSON: {'idx': 0}"),
         (lambda: debruijn_from_json({"app": [{"var": 0}, {"idx": 0}]}), ValueError,
          "bad de Bruijn-term JSON: {'var': 0}"),
+        (lambda: free_atoms(Lam(0, App(Var(0), Idx(1)))), TypeError, "not a named term: Idx(index=1)"),
+        (lambda: db_free_indices(DbLam(DbApp(Idx(0), "#1"))), TypeError, "not a de Bruijn term: '#1'"),
+        (lambda: from_debruijn(DbApp(Idx(0), DbLam(Var(0)))), TypeError, "not a de Bruijn term: Var(atom=0)"),
+        (lambda: act_term(transposition(EQ, 0, 1), App(Var(0), None)), TypeError, "not a named term: None"),
+        # an atom that is no natural number raises what `apply` raises
+        (lambda: act_term(transposition(EQ, 0, 1), Var(-1)), ValueError, "-1 is not a natural-number atom (equality)"),
+        (lambda: act_term(transposition(EQ, 0, 1), Lam(True, Var(0))), ValueError, "True is not an exact atom"),
+        (lambda: act_term(transposition(EQ, 0, 1), App(Var(0), Var(Fraction(1, 2)))), ValueError,
+         "Fraction(1, 2) is not a natural-number atom (equality)"),
     ])
     def test_rejects(self, make, error, message):
         with pytest.raises(error) as exc:
@@ -472,6 +484,8 @@ class TestPinnedSyntaxErrors:
         (")", "unexpected token ')'"),
         ("v0 (v1))", "trailing input"),
         ("v²", "expected digits after 'v' at 0"),  # a digit that int() rejects
+        ("v0  v", "expected digits after 'v' at 4"),  # positions count the blanks
+        ("#1", "unexpected character '#' at 0"),  # the other form's sigil
     ])
     def test_named(self, src, message):
         with pytest.raises(TermSyntaxError) as exc:
@@ -488,6 +502,7 @@ class TestPinnedSyntaxErrors:
         ("()", "unexpected token ')'"),
         ("\\ \\", "unexpected token None"),
         ("#²", "expected digits after '#' at 0"),
+        ("\\ #0 #", "expected digits after '#' at 5"),
     ])
     def test_debruijn(self, src, message):
         with pytest.raises(TermSyntaxError) as exc:
@@ -498,6 +513,11 @@ class TestPinnedSyntaxErrors:
         # "١" is ARABIC-INDIC DIGIT ONE: decimal, and int() reads it as 1
         assert parse_named("v١") == Var(1)
         assert parse_debruijn("#١") == Idx(1)
+
+    def test_arabic_indic_three(self):
+        # "٣" is ARABIC-INDIC DIGIT THREE
+        assert parse_named("v٣") == Var(3)
+        assert parse_named("\\v٣. v٣ v٣٣") == Lam(3, App(Var(3), Var(33)))
 
 
 class TestPinnedNames:
@@ -597,3 +617,161 @@ class TestDeepTerms:
             assert supp_abs(a) == b_support(free_atoms(t))
             assert alpha_eq_terms(phi_inv(a), t)
             assert alpha_eq(phi(phi_inv(a)), a)
+
+
+def sized_term(rng: Random, nodes: int, atoms: int = 5):
+    """A named term of exactly `nodes` nodes, built without recursion.
+    Binders are drawn from `atoms` names, so they shadow one another, and a
+    leaf takes a binder in scope or any of `atoms + 2` atoms, so some are free."""
+    flat, todo = [], [(nodes, ())]  # flat: pre-order; None for an application, an int for a binder
+    while todo:
+        size, env = todo.pop()
+        if size == 1:
+            flat.append(Var(rng.choice(env) if env and rng.random() < 0.6 else rng.randrange(atoms + 2)))
+        elif size == 2 or rng.random() < 0.35:
+            flat.append(rng.randrange(atoms))
+            todo.append((size - 1, env + (flat[-1],)))
+        else:
+            left = rng.randint(1, size - 2)
+            flat.append(None)
+            todo += ((size - 1 - left, env), (left, env))
+    done = []
+    for x in reversed(flat):
+        if isinstance(x, Var):
+            done.append(x)
+        elif x is None:
+            fn = done.pop()
+            done.append(App(fn, done.pop()))
+        else:
+            done.append(Lam(x, done.pop()))
+    return done[0]
+
+
+# --- recursive references for each job, by the definitions ---
+
+def ref_to_debruijn(t, env=()):
+    """`env` holds the binders around `t`, innermost last."""
+    if isinstance(t, Var):
+        for k in reversed(range(len(env))):
+            if env[k] == t.atom:
+                return Idx(len(env) - 1 - k)
+        return Idx(t.atom + len(env))
+    if isinstance(t, App):
+        return DbApp(ref_to_debruijn(t.fn, env), ref_to_debruijn(t.arg, env))
+    return DbLam(ref_to_debruijn(t.body, env + (t.binder,)))
+
+
+def ref_from_debruijn(t, env=()):
+    """`env` holds the names of the binders around `t`, innermost last; a
+    binder takes the least atom that no name its body reaches outside it takes."""
+    d = len(env)
+    if isinstance(t, Idx):
+        return Var(env[d - 1 - t.index] if t.index < d else t.index - d)
+    if isinstance(t, DbApp):
+        return App(ref_from_debruijn(t.fn, env), ref_from_debruijn(t.arg, env))
+    taken = {env[d - 1 - j] if j < d else j - d for j in textbook_db_fv(t)}
+    name = min(set(range(len(taken) + 1)) - taken)
+    return Lam(name, ref_from_debruijn(t.body, env + (name,)))
+
+
+def ref_act(g, t):
+    if isinstance(t, Var):
+        return Var(apply(g, t.atom))
+    if isinstance(t, App):
+        return App(ref_act(g, t.fn), ref_act(g, t.arg))
+    return Lam(apply(g, t.binder), ref_act(g, t.body))
+
+
+def ref_show(t) -> str:
+    """An abstraction in function position, and an application or an
+    abstraction in argument position, are parenthesized."""
+    if isinstance(t, (Var, Idx)):
+        return f"v{t.atom}" if isinstance(t, Var) else f"#{t.index}"
+    if isinstance(t, (Lam, DbLam)):
+        return (f"\\v{t.binder}. " if isinstance(t, Lam) else "\\ ") + ref_show(t.body)
+    fn, arg = ref_show(t.fn), ref_show(t.arg)
+    if isinstance(t.fn, (Lam, DbLam)):
+        fn = f"({fn})"
+    if isinstance(t.arg, (App, DbApp, Lam, DbLam)):
+        arg = f"({arg})"
+    return f"{fn} {arg}"
+
+
+def ref_json(t):
+    if isinstance(t, (Var, Idx)):
+        return {"var": t.atom} if isinstance(t, Var) else {"idx": t.index}
+    if isinstance(t, Lam):
+        return {"lam": [t.binder, ref_json(t.body)]}
+    if isinstance(t, DbLam):
+        return {"lam": ref_json(t.body)}
+    return {"app": [ref_json(t.fn), ref_json(t.arg)]}
+
+
+REF_SEEDS = range(40)
+
+
+class TestRecursiveReferences:
+    """Each job against its recursive reference, on seeded terms of up to
+    150 nodes whose binders shadow one another and whose leaves include free
+    atoms."""
+
+    @pytest.mark.parametrize("seed", REF_SEEDS)
+    def test_jobs(self, seed):
+        rng = Random(seed)
+        t = sized_term(rng, rng.randint(1, 150))
+        db = to_debruijn(t)
+        assert db == ref_to_debruijn(t)
+        assert from_debruijn(db) == ref_from_debruijn(db)
+        assert free_atoms(t) == Support.of(textbook_fv(t))
+        assert db_free_indices(db) == Support.of(textbook_db_fv(db))
+        g = finite_perm(EQ, dict(zip(range(8), rng.sample(range(8), 8))))
+        assert act_term(g, t) == ref_act(g, t)
+        for term, show, parse, to_json, from_json in (
+            (t, show_named, parse_named, named_to_json, named_from_json),
+            (db, show_debruijn, parse_debruijn, debruijn_to_json, debruijn_from_json),
+        ):
+            text, d = show(term), to_json(term)
+            assert text == ref_show(term) and parse(text) == term
+            assert d == ref_json(term) and from_json(d) == term
+
+    def test_the_terms_shadow_and_have_free_atoms(self):
+        def shadows(t, env=()):
+            if isinstance(t, Var):
+                return False
+            if isinstance(t, App):
+                return shadows(t.fn, env) or shadows(t.arg, env)
+            return t.binder in env or shadows(t.body, env + (t.binder,))
+
+        terms = [sized_term(Random(seed), Random(seed).randint(1, 150)) for seed in REF_SEEDS]
+        assert sum(map(shadows, terms)) >= 10
+        assert sum(1 for t in terms if textbook_fv(t)) >= 30
+
+    @given(db_terms)
+    def test_from_debruijn_names(self, t):
+        assert from_debruijn(t) == ref_from_debruijn(t)
+
+
+class TestTermsMakeNoCallPerNode:
+    """`from_debruijn` names each binder inline and `act_term` reads a
+    permutation's table for each natural atom: spies on `binding.fresh` and
+    `binding.apply` count no call on a 2,000-node term or on a 600-binder
+    chain.  No clock."""
+
+    def test_no_fresh_or_apply(self, monkeypatch):
+        calls = Counter()
+        for name in ("fresh", "apply"):
+            def spied(*args, _inner=getattr(binding, name), _name=name):
+                calls[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(binding, name, spied)
+        g = finite_perm(EQ, {k: (k + 1) % 9 for k in range(9)})
+        for t in (sized_term(Random(61), 2000), binder_chain(600)):
+            db = to_debruijn(t)
+            calls.clear()
+            named = from_debruijn(db)
+            renamed = act_term(g, t)
+            assert calls == Counter(), calls
+            assert show_debruijn(to_debruijn(named)) == show_debruijn(db)
+            assert show_named(act_term(inverse(g), renamed)) == show_named(t)
+
