@@ -448,8 +448,11 @@ class TestForeignNodes:
          "bad de Bruijn-term JSON: {'var': 0}"),
         (lambda: free_atoms(Lam(0, App(Var(0), Idx(1)))), TypeError, "not a named term: Idx(index=1)"),
         (lambda: db_free_indices(DbLam(DbApp(Idx(0), "#1"))), TypeError, "not a de Bruijn term: '#1'"),
-        (lambda: from_debruijn(DbApp(Idx(0), DbLam(Var(0)))), TypeError, "not a de Bruijn term: Var(atom=0)"),
-        (lambda: act_term(transposition(EQ, 0, 1), App(Var(0), None)), TypeError, "not a named term: None"),
+        # the two messages below repeat earlier ones, so they carry ids of their own
+        pytest.param(lambda: from_debruijn(DbApp(Idx(0), DbLam(Var(0)))), TypeError,
+                     "not a de Bruijn term: Var(atom=0)", id="from_debruijn-nested-named-node"),
+        pytest.param(lambda: act_term(transposition(EQ, 0, 1), App(Var(0), None)), TypeError,
+                     "not a named term: None", id="act_term-none-operand"),
         # an atom that is no natural number raises what `apply` raises
         (lambda: act_term(transposition(EQ, 0, 1), Var(-1)), ValueError, "-1 is not a natural-number atom (equality)"),
         (lambda: act_term(transposition(EQ, 0, 1), Lam(True, Var(0))), ValueError, "True is not an exact atom"),
