@@ -299,27 +299,10 @@ def to_debruijn(t):
 
 
 def db_free_indices(t) -> Support:
-    """Ambient atoms referenced by a de Bruijn term: an index n below its
-    binder depth d is bound, and one at least d refers to the atom n - d.
-    One pre-order walk that tracks the depth."""
-    free = set()
-    depth = 0
-    todo = [t]
-    while todo:
-        t = todo.pop()
-        if t is _LAM:
-            depth -= 1
-        elif isinstance(t, Idx):
-            if t.index >= depth:
-                free.add(t.index - depth)
-        elif isinstance(t, DbApp):
-            todo += (t.arg, t.fn)
-        elif isinstance(t, DbLam):
-            depth += 1
-            todo += (_LAM, t.body)
-        else:
-            raise TypeError(f"not a de Bruijn term: {t!r}")
-    return Support.of(free)
+    """Ambient atoms referenced by a de Bruijn term: the free atoms of its
+    named form, since `from_debruijn` names a free index n at depth d as
+    the atom n - d."""
+    return free_atoms(from_debruijn(t))
 
 
 def from_debruijn(t):
@@ -348,6 +331,8 @@ def from_debruijn(t):
                 reach[-1], up, body = body, body, up
             up |= body
         elif isinstance(u, Idx):
+            if u.index < 0:
+                raise ValueError(f"negative de Bruijn index: {u!r}")
             reach[-1].add(depth - 1 - u.index)
         elif isinstance(u, DbApp):
             todo += (u.arg, u.fn)
@@ -525,6 +510,14 @@ def _to_json(t, form: _Form):
     return done[0]
 
 
+def _natural(n, d, form: _Form) -> int:
+    """`n`, a leaf's or a binder's number in the JSON object `d`, which must
+    be a plain non-negative int: not a bool, a float or a string."""
+    if type(n) is int and n >= 0:
+        return n
+    raise ValueError(f"bad {form.name}-term JSON: {d!r}")
+
+
 def _from_json(d, form: _Form):
     """The inverse of `_to_json`, in the same post-order."""
     done = []
@@ -537,13 +530,13 @@ def _from_json(d, form: _Form):
         elif d is _LAM:
             done[-1] = Lam(todo.pop(), done[-1]) if form.named else DbLam(done[-1])
         elif form.key in d:
-            done.append(form.leaf(d[form.key]))
+            done.append(form.leaf(_natural(d[form.key], d, form)))
         elif "app" in d:
             f, x = d["app"]
             todo += (_APP, x, f)
         elif "lam" in d and form.named:
             a, body = d["lam"]
-            todo += (a, _LAM, body)
+            todo += (_natural(a, d, form), _LAM, body)
         elif "lam" in d:
             todo += (_LAM, d["lam"])
         else:

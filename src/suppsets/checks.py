@@ -24,7 +24,7 @@ SYMS = (A.SymmetryId.EQUALITY, A.SymmetryId.TOTAL_ORDER, A.SymmetryId.RENAMING)
 
 # --- generators ---
 
-def random_support(rng: Random, sym, pool: A.Support, max_size: int) -> A.Support:
+def random_support(rng: Random, pool: A.Support, max_size: int) -> A.Support:
     k = rng.randint(0, min(max_size, len(pool)))
     return A.Support.of(rng.sample(tuple(pool), k))
 
@@ -42,7 +42,7 @@ def random_admissible(rng: Random, sym, domain: A.Support, pool: A.Support) -> A
 
 
 def random_global(rng: Random, sym, pool: A.Support) -> A.GlobalMap:
-    dom = random_support(rng, sym, pool, len(pool))
+    dom = random_support(rng, pool, len(pool))
     return A.extend_to_global(sym, random_admissible(rng, sym, dom, pool))
 
 
@@ -50,7 +50,7 @@ def random_suppset(rng: Random, sym, pool: A.Support, max_elems: int = 5,
                    max_supp: int = 3, prefix: str = "e") -> SS.SuppSet:
     n = rng.randint(1, max_elems)
     return SS.SuppSet.of(
-        [(f"{prefix}{i}", random_support(rng, sym, pool, max_supp)) for i in range(n)]
+        [(f"{prefix}{i}", random_support(rng, pool, max_supp)) for i in range(n)]
     )
 
 
@@ -115,15 +115,8 @@ def alpha_bruteforce(t1, t2, extra: int = 2) -> bool:
             return alpha_bruteforce(f1, f2, extra) and alpha_bruteforce(x1, x2, extra)
         case (B.Lam(a, x), B.Lam(b, y)):
             supports = B.free_atoms(x).union(B.free_atoms(y))
-            size = len(supports) + extra
-            pool = []
-            avoid = supports.union(A.Support.of([a, b]))
-            n = 0
-            while len(pool) < size:
-                if n not in avoid:
-                    pool.append(n)
-                n += 1
             eq = A.SymmetryId.EQUALITY
+            pool = A.fresh_atoms(eq, supports.union(A.Support.of([a, b])), len(supports) + extra)
             return any(
                 alpha_bruteforce(
                     B.act_term(A.transposition(eq, c, a), x),
@@ -198,7 +191,7 @@ def suite_atoms(rng: Random, n: int) -> SuiteResult:
     for _ in range(n):
         for sym in SYMS:
             pool = A.pool_atoms(sym, 8)
-            fixed = random_support(rng, sym, pool, 4)
+            fixed = random_support(rng, pool, 4)
             a = A.fresh(sym, fixed)
             w = A.lock_free_witness(sym, fixed, a)
             ok = all(A.apply(w, r) == r for r in fixed) and A.apply(w, a) != a
@@ -211,7 +204,7 @@ def suite_atoms(rng: Random, n: int) -> SuiteResult:
             left, right = A.compose(A.compose(g, h), k), A.compose(g, A.compose(h, k))
             assoc = all(A.apply(left, x) == A.apply(right, x) for x in sample)
             res.check(assoc, f"compose associativity ({sym.value})")
-            p = random_admissible(rng, sym, random_support(rng, sym, pool, 3), pool)
+            p = random_admissible(rng, sym, random_support(rng, pool, 3), pool)
             gg = A.extend_to_global(sym, p)
             res.check(
                 all(A.apply(gg, x) == y for x, y in p.items()),
@@ -247,7 +240,7 @@ def suite_supported(rng: Random, n: int) -> SuiteResult:
         ok = all(P.support((x, y)) == X.support(x).union(X.support(y))
                  for x in X.elements for y in X.elements)
         res.check(ok, "product support is not the union")
-        E = SS.SuppSet.of([("a", random_support(rng, sym, pool, 2))])
+        E = SS.SuppSet.of([("a", random_support(rng, pool, 2))])
         XE = SS.exponential(E, X)
         res.check(len(XE) == len(X) ** len(E), "exponential carrier size")
     return res

@@ -28,9 +28,9 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 
-from .atoms import (EMPTY_SUPPORT, GlobalMap, Support, SymmetryId, fresh_atoms, lock_free_witness, order_type,
+from .atoms import (GlobalMap, Support, SymmetryId, fresh_atoms, lock_free_witness, order_type,
                     tuple_getter)
 from .atoms import fresh  # unused here; the benchmark's trace.IMPORT_POINTS wraps it
 from .freenom import (
@@ -46,7 +46,7 @@ from .freenom import (
     ext_support,
     unit,
 )
-from .supported import SuppSet, UnionFind, json_array, suppset_from_json, suppset_to_json
+from .supported import SuppSet, UnionFind, json_array, suppset_from_json, suppset_to_json, ufs_support
 
 
 @dataclass(frozen=True)
@@ -116,11 +116,7 @@ class PoolError(ValueError):
 def default_pool(P: FinPresentation, reps=()) -> AtomPool:
     """Supports of the given representatives and of all equation sides,
     padded with 1 + (max generator support size) fresh atoms."""
-    base = EMPTY_SUPPORT
-    for e in reps:
-        base = base.union(ext_support(e))
-    for lhs, rhs in P.equations:
-        base = base.union(ext_support(lhs)).union(ext_support(rhs))
+    base = ufs_support(map(ext_support, chain(reps, *P.equations)))
     spare = 1 + P.max_generator_support()
     return AtomPool(base.union(Support.of(fresh_atoms(P.sym, base, spare))))
 

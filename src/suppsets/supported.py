@@ -223,6 +223,19 @@ class UnionFind:
             self.parent[rb] = ra
 
 
+def _meets(X: SuppSet, labels) -> dict:
+    """Each label's class support: the meet of the supports of the elements
+    of X that carry it, where `labels` runs in X's order."""
+    meet = {}
+    for sx, k in zip(X._index.values(), labels):
+        m = meet.get(k)
+        if m is None:
+            meet[k] = sx
+        elif m.atoms:
+            meet[k] = Support(tuple(filter(sx.atoms.__contains__, m.atoms)))
+    return meet
+
+
 def coequalizer(f: SuppMap, g: SuppMap):
     """Quotient the common target by f(r) ~ g(r).
 
@@ -250,13 +263,7 @@ def coequalizer(f: SuppMap, g: SuppMap):
     for i, p in enumerate(parent):  # in rank order, so parent[p] is already p's root
         parent[i] = parent[p]
     root_of = list(map(parent.__getitem__, map(rank.__getitem__, X._index)))  # in X's order
-    meet = {}  # root rank -> the meet of its class's supports so far, in X's order
-    for sx, k in zip(X._index.values(), root_of):
-        m = meet.get(k)
-        if m is None:
-            meet[k] = sx
-        elif m.atoms:
-            meet[k] = Support(tuple(filter(sx.atoms.__contains__, m.atoms)))
+    meet = _meets(X, root_of)
     roots = sorted(meet)  # by rank, so the classes come sorted by least id
     Q = SuppSet(tuple(zip(map(ids.__getitem__, roots), map(meet.__getitem__, roots))))
     epi = SuppMap(X, Q, tuple(zip(X._index, map(ids.__getitem__, root_of))))
@@ -313,16 +320,13 @@ def image_factorization(f: SuppMap, support_from: str = "source"):
     if support_from not in ("source", "target"):
         raise ValueError("support_from must be 'source' or 'target'")
     X, Y = f.source, f.target
-    source = support_from == "source"
     ys = tuple(map(f._table.__getitem__, X._index))
-    meet = {}  # each hit y -> the meet of its fibre's supports, in source order
-    for sx, y in zip(X._index.values(), ys):
-        m = meet.get(y)
-        if m is None:
-            meet[y] = sx
-        elif source and m.atoms:
-            meet[y] = Support(tuple(filter(sx.atoms.__contains__, m.atoms)))
-    items = tuple((y, meet[y] if source else sy) for y, sy in Y.items if y in meet)
+    if support_from == "source":
+        meet = _meets(X, ys)
+        items = tuple((y, meet[y]) for y in Y._index if y in meet)
+    else:
+        hit = set(ys)
+        items = tuple((y, sy) for y, sy in Y.items if y in hit)
     Im = SuppSet(items)
     epi = SuppMap(X, Im, tuple(zip(X._index, ys)))
     mono = SuppMap(Im, Y, tuple((y, y) for y, _ in items))

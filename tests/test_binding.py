@@ -458,6 +458,18 @@ class TestForeignNodes:
         (lambda: act_term(transposition(EQ, 0, 1), Lam(True, Var(0))), ValueError, "True is not an exact atom"),
         (lambda: act_term(transposition(EQ, 0, 1), App(Var(0), Var(Fraction(1, 2)))), ValueError,
          "Fraction(1, 2) is not a natural-number atom (equality)"),
+        # a JSON leaf or binder must be a plain non-negative int
+        (lambda: named_from_json({"var": -1}), ValueError, "bad named-term JSON: {'var': -1}"),
+        (lambda: named_from_json({"var": True}), ValueError, "bad named-term JSON: {'var': True}"),
+        (lambda: debruijn_from_json({"idx": 1.5}), ValueError, "bad de Bruijn-term JSON: {'idx': 1.5}"),
+        (lambda: debruijn_from_json({"lam": {"idx": "0"}}), ValueError, "bad de Bruijn-term JSON: {'idx': '0'}"),
+        (lambda: named_from_json({"lam": ["a", {"var": 0}]}), ValueError,
+         "bad named-term JSON: {'lam': ['a', {'var': 0}]}"),
+        (lambda: named_from_json({"app": [{"var": 0}, {"lam": [-1, {"var": 0}]}]}), ValueError,
+         "bad named-term JSON: {'lam': [-1, {'var': 0}]}"),
+        # a negative index is named, not an IndexError
+        (lambda: from_debruijn(Idx(-1)), ValueError, "negative de Bruijn index: Idx(index=-1)"),
+        (lambda: from_debruijn(DbLam(DbApp(Idx(0), Idx(-2)))), ValueError, "negative de Bruijn index: Idx(index=-2)"),
     ])
     def test_rejects(self, make, error, message):
         with pytest.raises(error) as exc:
