@@ -331,7 +331,7 @@ def from_debruijn(t):
                 reach[-1], up, body = body, body, up
             up |= body
         elif isinstance(u, Idx):
-            if u.index < 0:
+            if type(u.index) is not int or u.index < 0:  # as `_natural` asks of a JSON leaf
                 raise ValueError(f"negative de Bruijn index: {u!r}")
             reach[-1].add(depth - 1 - u.index)
         elif isinstance(u, DbApp):
@@ -518,6 +518,14 @@ def _natural(n, d, form: _Form) -> int:
     raise ValueError(f"bad {form.name}-term JSON: {d!r}")
 
 
+def _pair(v, d, form: _Form) -> list:
+    """`v`, the entry of `app` or of a named `lam` in the JSON object `d`,
+    which must be an array of two entries."""
+    if isinstance(v, list) and len(v) == 2:
+        return v
+    raise ValueError(f"bad {form.name}-term JSON: {d!r}")
+
+
 def _from_json(d, form: _Form):
     """The inverse of `_to_json`, in the same post-order."""
     done = []
@@ -529,13 +537,15 @@ def _from_json(d, form: _Form):
             done[-1] = form.app(done[-1], arg)
         elif d is _LAM:
             done[-1] = Lam(todo.pop(), done[-1]) if form.named else DbLam(done[-1])
+        elif not isinstance(d, dict):
+            raise ValueError(f"bad {form.name}-term JSON: {d!r}")
         elif form.key in d:
             done.append(form.leaf(_natural(d[form.key], d, form)))
         elif "app" in d:
-            f, x = d["app"]
+            f, x = _pair(d["app"], d, form)
             todo += (_APP, x, f)
         elif "lam" in d and form.named:
-            a, body = d["lam"]
+            a, body = _pair(d["lam"], d, form)
             todo += (_natural(a, d, form), _LAM, body)
         elif "lam" in d:
             todo += (_LAM, d["lam"])

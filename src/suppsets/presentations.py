@@ -13,9 +13,8 @@ decided over a bounded atom pool: every equation is instantiated along
 every admissible reassignment of its atoms into the pool, and the
 resulting pairs are closed into an equivalence over the pool-bounded extension.  The
 union-find closure runs on pool positions: an element is an index found
-from its base and the positions of its atoms in the pool, and an
-instance is a tuple of positions, so no map or element is built per
-instance.  A naive fixpoint sweep over extension elements is kept
+from its base and the positions of its atoms, so `element_count` and
+renaming `quot_eq` build no map or element.  A naive fixpoint sweep over extension elements is kept
 deliberately separate, so each engine can serve as the other's oracle,
 and both as one-sided oracles of the saturation.  Orbit counts need no closure: they
 follow from the generators and equations that fit in the pool, with the
@@ -33,19 +32,8 @@ from itertools import chain, product
 from .atoms import (GlobalMap, Support, SymmetryId, fresh_atoms, lock_free_witness, order_type,
                     tuple_getter)
 from .atoms import fresh  # unused here; the benchmark's trace.IMPORT_POINTS wraps it
-from .freenom import (
-    ExtElem,
-    act,
-    act_finite,
-    admissible_maps,
-    admissible_targets,
-    check_ext_elem,
-    ext_elem_from_json,
-    ext_elem_to_json,
-    ext_enumerate,
-    ext_support,
-    unit,
-)
+from .freenom import (ExtElem, act, act_finite, admissible_maps, admissible_targets, check_ext_elem,
+                      ext_elem_from_json, ext_elem_to_json, ext_enumerate, ext_support, unit)
 from .supported import SuppSet, UnionFind, json_array, suppset_from_json, suppset_to_json, ufs_support
 
 
@@ -104,9 +92,9 @@ class AtomPool:
         return len(self.atoms)
 
     @cached_property
-    def _atom_set(self) -> frozenset:
-        """The atoms as a set, built on the first pool check and kept."""
-        return frozenset(self.atoms)
+    def _positions(self) -> dict:
+        """Atom -> its place in the pool, built on first use and kept."""
+        return {a: i for i, a in enumerate(self.atoms)}
 
 
 class PoolError(ValueError):
@@ -133,7 +121,7 @@ def _instance_pairs(P: FinPresentation, pool: Support):
             yield act_finite(m, lhs), act_finite(m, rhs)
 
 
-def quot_classes(P: FinPresentation, pool: AtomPool):
+def _closure(P: FinPresentation, pool: AtomPool):
     """Union-find closure over the pool-bounded extension, run on pool
     positions.
 
@@ -143,13 +131,10 @@ def quot_classes(P: FinPresentation, pool: AtomPool):
     place in the universe.  An equation instance is an admissible tuple of
     positions for the equation's atoms; each side reads its positions off
     that tuple.  An admissible map after an admissible reassignment is
-    admissible, so every instance is an element of the universe.  Each
-    instance is one `UnionFind.union`, in the order of `_instance_pairs`.
-
-    Returns (universe, labels) where labels maps each element's key to the
-    key of its class's representative.
+    admissible, so every instance is in `index`.  Each instance is one
+    `UnionFind.union`, in the order of `_instance_pairs`.  Returns `index`
+    and the `UnionFind` over its values.
     """
-    universe = ext_enumerate(P.sym, P.generators, pool.atoms)
     positions = range(len(pool))
     index = {}
     for x, s in P.generators.items:
@@ -161,12 +146,21 @@ def quot_classes(P: FinPresentation, pool: AtomPool):
         pick_l, pick_r = (tuple_getter([dom.index(b) for _, b in e.pi.images.entries]) for e in (lhs, rhs))
         for t in admissible_targets(P.sym, len(dom), positions):
             uf.union(index[lhs.base, pick_l(t)], index[rhs.base, pick_r(t)])
+    return index, uf
+
+
+def quot_classes(P: FinPresentation, pool: AtomPool):
+    """`_closure` read onto `ext_enumerate`'s universe, for the oracles and
+    checks: (universe, labels), where labels maps each element's key to the
+    key of its class's representative."""
+    _, uf = _closure(P, pool)
+    universe = ext_enumerate(P.sym, P.generators, pool.atoms)
     keys = [_ext_key(e) for e in universe]
     return universe, {k: keys[uf.find(i)] for i, k in enumerate(keys)}
 
 
 def _require_in_pool(P: FinPresentation, pool: AtomPool, *elems: ExtElem):
-    atoms = pool._atom_set
+    atoms = pool._positions
     for e in elems:
         check_ext_elem(P.generators, e)
         if not all(b in atoms for _, b in e.pi.images.entries):
@@ -182,8 +176,10 @@ def quot_eq(P: FinPresentation, e1: ExtElem, e2: ExtElem, pool: AtomPool) -> boo
     _require_in_pool(P, pool, e1, e2)
     if P.sym.is_group:
         return e1 == e2 or _pair_key(P.sym, e1, e2) in P.pair_orbits
-    _, labels = quot_classes(P, pool)
-    return labels[_ext_key(e1)] == labels[_ext_key(e2)]
+    index, uf = _closure(P, pool)
+    at = pool._positions
+    i1, i2 = (index[e.base, tuple(at[b] for _, b in e.pi.images.entries)] for e in (e1, e2))
+    return uf.find(i1) == uf.find(i2)
 
 
 # --- pair orbits ---
@@ -309,8 +305,8 @@ def orbit_count_enum(P: FinPresentation, pool: AtomPool) -> int:
 
 def element_count(P: FinPresentation, pool: AtomPool) -> int:
     """Number of congruence classes among the pool-bounded extension."""
-    _, labels = quot_classes(P, pool)
-    return len(set(labels.values()))
+    _, uf = _closure(P, pool)
+    return sum(i == r for i, r in uf.parent.items())
 
 
 def orbit_count(P: FinPresentation, pool: AtomPool) -> int:

@@ -470,6 +470,27 @@ class TestForeignNodes:
         # a negative index is named, not an IndexError
         (lambda: from_debruijn(Idx(-1)), ValueError, "negative de Bruijn index: Idx(index=-1)"),
         (lambda: from_debruijn(DbLam(DbApp(Idx(0), Idx(-2)))), ValueError, "negative de Bruijn index: Idx(index=-2)"),
+        # a JSON node must be an object, and an `app` or a named `lam` an array of two entries
+        pytest.param(lambda: named_from_json(5), ValueError, "bad named-term JSON: 5", id="named-json-int-node"),
+        pytest.param(lambda: debruijn_from_json({"lam": 5}), ValueError, "bad de Bruijn-term JSON: 5",
+                     id="debruijn-json-int-node"),
+        pytest.param(lambda: debruijn_from_json({"app": [{"idx": 0}]}), ValueError,
+                     "bad de Bruijn-term JSON: {'app': [{'idx': 0}]}", id="debruijn-json-app-of-one"),
+        pytest.param(lambda: named_from_json({"app": [{"var": 0}]}), ValueError,
+                     "bad named-term JSON: {'app': [{'var': 0}]}", id="named-json-app-of-one"),
+        pytest.param(lambda: named_from_json({"app": {"var": 0}}), ValueError,
+                     "bad named-term JSON: {'app': {'var': 0}}", id="named-json-app-object"),
+        pytest.param(lambda: named_from_json({"lam": {"var": 0}}), ValueError,
+                     "bad named-term JSON: {'lam': {'var': 0}}", id="named-json-lam-object"),
+        pytest.param(lambda: named_from_json({"lam": [0, {"var": 0}, {"var": 1}]}), ValueError,
+                     "bad named-term JSON: {'lam': [0, {'var': 0}, {'var': 1}]}", id="named-json-lam-of-three"),
+        # an index must be a plain non-negative int, as a JSON leaf must
+        pytest.param(lambda: from_debruijn(DbLam(Idx(0.5))), ValueError,
+                     "negative de Bruijn index: Idx(index=0.5)", id="from_debruijn-float-index"),
+        pytest.param(lambda: from_debruijn(Idx(True)), ValueError,
+                     "negative de Bruijn index: Idx(index=True)", id="from_debruijn-bool-index"),
+        pytest.param(lambda: db_free_indices(Idx(1.5)), ValueError,
+                     "negative de Bruijn index: Idx(index=1.5)", id="db_free_indices-float-index"),
     ])
     def test_rejects(self, make, error, message):
         with pytest.raises(error) as exc:

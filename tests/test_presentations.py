@@ -122,7 +122,7 @@ class TestQuotEq:
 
 
 class TestPoolCheck:
-    """The pool check reads a set the pool builds once; the pool's equality,
+    """The pool check reads a table the pool builds once; the pool's equality,
     hash, repr and error message stay those of its `atoms` field."""
 
     def test_message_for_an_int_pool(self, pairs):
@@ -493,6 +493,54 @@ class TestPositionClosure:
         monkeypatch.setattr(RestrictedMap, "__post_init__", lambda self: built.append(check(self)))
         assert element_count(P, pool) == 23
         assert len(built) <= len(ext_enumerate(ORD, P.generators, pool.atoms)) == 78
+
+
+class TestNoUniverse:
+    """Timing-free: `element_count` and `quot_eq` read pool positions only.
+    With `ext_enumerate` refused and no `RestrictedMap` built, the count is
+    the number of `quot_classes` labels, and a renaming verdict is their
+    comparison; a group verdict is implied by it (`TestExactQuotEq`)."""
+
+    @staticmethod
+    def check(P, pool, rng, monkeypatch):
+        import suppsets.presentations as presentations
+
+        universe, labels = quot_classes(P, pool)
+        pairs = [(rng.choice(universe), rng.choice(universe)) for _ in range(8)]
+
+        def refuse(*args):
+            raise AssertionError("ext_enumerate called")
+
+        built = []
+        post_init = RestrictedMap.__post_init__
+        with monkeypatch.context() as m:
+            m.setattr(presentations, "ext_enumerate", refuse)
+            m.setattr(RestrictedMap, "__post_init__", lambda self: built.append(post_init(self)))
+            count = element_count(P, pool)
+            verdicts = [quot_eq(P, e1, e2, pool) for e1, e2 in pairs]
+        assert built == []
+        assert count == len(set(labels.values()))
+        for (e1, e2), equal in zip(pairs, verdicts):
+            pool_equal = labels[ext_key(e1)] == labels[ext_key(e2)]
+            if P.sym is RN:
+                assert equal == pool_equal
+            else:
+                assert equal or not pool_equal
+
+    @pytest.mark.parametrize("sym", (EQ, ORD, RN))
+    @pytest.mark.parametrize("seed", range(10))
+    def test_pools_of_up_to_five_atoms(self, sym, seed, monkeypatch):
+        rng = Random(f"no-universe:{seed}")
+        P = oracle_presentation(rng, sym, pool_atoms(sym, 4))
+        for n in range(6):  # `z` fits every pool, so every universe has an element
+            self.check(P, AtomPool(pool_atoms(sym, n)), rng, monkeypatch)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_mixed_int_and_fraction_pool(self, seed, monkeypatch):
+        rng = Random(f"no-universe-mixed:{seed}")
+        P = oracle_presentation(rng, ORD, MIXED)
+        for k in range(len(MIXED) + 1):
+            self.check(P, AtomPool(Support.of(rng.sample(tuple(MIXED), k))), rng, monkeypatch)
 
 
 class TestPoolStability:
